@@ -32,7 +32,7 @@ from repro.runtime.backend import (
     UnknownClientError,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal, spawn
+from repro.sim.process import Signal
 
 __all__ = ["ReefBackend", "REEF_QUEUE_SIZE"]
 
@@ -72,9 +72,6 @@ class ReefBackend(Backend):
         self._hp_queue: Optional[SoftwareQueue] = None
         self._hp_client_id: Optional[str] = None
         self._be: Dict[str, _BeState] = {}
-        self._be_order: List[str] = []
-        self._rr_index = 0
-        self._wake = Signal(sim)
         self._started = False
         self.be_kernels_launched = 0
         self.set_telemetry()
@@ -100,7 +97,7 @@ class ReefBackend(Backend):
     def start(self) -> None:
         if not self._started:
             self._started = True
-            spawn(self.sim, self._run_scheduler(), "reef-scheduler")
+            self._start_scheduler()
 
     def submit(self, client_id: str, op: Op) -> Signal:
         # Hot path: direct dict lookup (client_info adds a call frame).
@@ -133,7 +130,7 @@ class ReefBackend(Backend):
                           "client deregistered with ops pending",
                           client_id=client_id, time=self.sim.now)
         # Repair scheduler bookkeeping before any signal fires: a
-        # triggered signal can resume the scheduler synchronously, and
+        # triggered signal can run a scheduler pass synchronously, and
         # it must never observe the dead client in its state.
         if client_id == self._hp_client_id:
             hp_queue, hp_stream = self._hp_queue, self._hp_stream
@@ -145,18 +142,12 @@ class ReefBackend(Backend):
             self.device.destroy_stream(hp_stream, error=error)
         elif client_id in self._be:
             state = self._be.pop(client_id)
-            self._be_order.remove(client_id)
-            self._rr_index = self._rr_index % len(self._be_order) \
-                if self._be_order else 0
+            self._leave_rotation(client_id)
             for _op, done in state.queue.drain():
                 done.trigger(None, error=error)
             self.device.destroy_stream(state.stream, error=error)
         self.device.release_client(client_id)
         self._wake_scheduler()
-
-    def _wake_scheduler(self) -> None:
-        if not self._wake.triggered:
-            self._wake.trigger()
 
     @property
     def hp_pending(self) -> bool:
@@ -177,28 +168,17 @@ class ReefBackend(Backend):
                     break
         return max(0, self.device.spec.num_sms - reserved)
 
-    def _run_scheduler(self):
-        while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                # HP bypass: drain the HP queue first, always.
-                while self.hp_pending:
-                    op, done = self._hp_queue.pop()
-                    inner = self._hp_stream.submit(op)
-                    inner.add_callback(
-                        lambda sig, d=done: d.trigger(sig.value, error=sig.error))
-                    self._watch(inner)
-                    progressed = True
-                for offset in range(len(self._be_order)):
-                    client_id = self._be_order[(self._rr_index + offset)
-                                               % len(self._be_order)]
-                    if self._try_launch_be(client_id):
-                        self._rr_index = (self._rr_index + offset + 1) \
-                            % len(self._be_order)
-                        progressed = True
-            self._wake = Signal(self.sim)
-            yield self._wake
+    def _forward_hp(self) -> bool:
+        """HP bypass: drain the HP queue first, always."""
+        forwarded = False
+        while self.hp_pending:
+            op, done = self._hp_queue.pop()
+            inner = self._hp_stream.submit(op)
+            inner.add_callback(
+                lambda sig, d=done: d.trigger(sig.value, error=sig.error))
+            self._watch(inner)
+            forwarded = True
+        return forwarded
 
     def _try_launch_be(self, client_id: str) -> bool:
         state = self._be[client_id]

@@ -4,9 +4,7 @@ from .autotune import SmThresholdTuner, TunerConfig
 from .policy import (
     DEFAULT_DUR_THRESHOLD_FRAC,
     PolicyConfig,
-    duration_throttled,
     have_different_profiles,
-    schedule_be,
 )
 from .scheduler import (
     ORION_INTERCEPTION_OVERHEAD,
@@ -24,8 +22,6 @@ __all__ = [
     "SloGuardConfig",
     "ORION_INTERCEPTION_OVERHEAD",
     "PolicyConfig",
-    "schedule_be",
-    "duration_throttled",
     "have_different_profiles",
     "DEFAULT_DUR_THRESHOLD_FRAC",
     "SmThresholdTuner",

@@ -1,7 +1,9 @@
-"""Orion's kernel scheduling policy — pure decision functions (Listing 1).
+"""Orion's kernel scheduling policy (Listing 1): tunables and rules.
 
-Factored out of the scheduler loop so each rule is independently
-testable and so the Figure-14 ablations can switch rules off:
+The rules are applied by ``OrionBackend._try_launch_be``, the one
+implementation of Listing 1's ``schedule_be`` and duration throttle;
+:class:`PolicyConfig` holds their thresholds and the Figure-14 ablation
+switches that turn each rule off:
 
 * profile rule  — a best-effort kernel may co-run only if its
   compute/memory profile differs from the current high-priority
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.kernels.kernel import ResourceProfile
-from repro.profiler.profiles import KernelProfile
 
-__all__ = ["PolicyConfig", "have_different_profiles", "schedule_be", "duration_throttled"]
+__all__ = ["PolicyConfig", "have_different_profiles"]
 
 # Paper default: 2.5% of the high-priority request latency (§6.4).
 DEFAULT_DUR_THRESHOLD_FRAC = 0.025
@@ -55,51 +56,3 @@ def have_different_profiles(hp: ResourceProfile, be: ResourceProfile) -> bool:
     if ResourceProfile.UNKNOWN in (hp, be):
         return True
     return hp is not be
-
-
-def schedule_be(
-    hp_task_running: bool,
-    hp_profile: Optional[ResourceProfile],
-    be_kernel: KernelProfile,
-    sm_threshold: int,
-    config: PolicyConfig,
-) -> bool:
-    """Listing 1's ``schedule_be``: is this BE kernel suitable right now?"""
-    if not hp_task_running:
-        return True
-    sm_ok = True
-    if config.use_sm_limit:
-        sm_ok = be_kernel.sm_needed < sm_threshold
-    profile_ok = True
-    if config.use_profiles:
-        current = hp_profile if hp_profile is not None else ResourceProfile.UNKNOWN
-        profile_ok = have_different_profiles(current, be_kernel.profile)
-    return sm_ok and profile_ok
-
-
-def duration_throttled(
-    outstanding_be_duration: float,
-    hp_request_latency: float,
-    config: PolicyConfig,
-    candidate_duration: float = 0.0,
-    hp_task_running: bool = False,
-) -> bool:
-    """Listing 1 lines 12-16: is the BE pipeline over its duration budget?
-
-    Extension over the listing (documented in DESIGN.md): while a
-    high-priority task is ongoing, a best-effort kernel whose *own*
-    expected duration exceeds the whole budget is deferred, so a single
-    long kernel cannot slip under an empty budget and then hold the GPU
-    past the high-priority job's latency target — submitted kernels are
-    not preemptible.  Kernels within the budget follow the listing's
-    original outstanding-work accounting, and with the high-priority
-    job idle the listing applies unchanged.
-    """
-    if not config.use_dur_throttle:
-        return False
-    budget = config.dur_threshold_frac * hp_request_latency
-    if outstanding_be_duration > budget:
-        return True
-    if hp_task_running:
-        return candidate_duration > budget
-    return False

@@ -127,7 +127,8 @@ class OrionConfig(PolicyConfig):
 class _BeClientState:
     """Per-best-effort-client scheduling state."""
 
-    __slots__ = ("queue", "stream", "event", "outstanding", "policy")
+    __slots__ = ("queue", "stream", "event", "outstanding", "policy",
+                 "head_op", "head_version", "head_profile", "head_missed")
 
     def __init__(self, queue: SoftwareQueue, stream, policy: str = "block"):
         self.queue = queue
@@ -135,6 +136,13 @@ class _BeClientState:
         self.event = CudaEvent()
         self.outstanding = 0.0  # expected seconds of submitted-unfinished work
         self.policy = policy    # bounded-queue overflow policy
+        # Profile of the queue's head kernel, valid while the head is
+        # ``head_op`` and the store is at ``head_version``; a blocked
+        # head is re-checked on every wake.
+        self.head_op: Optional[KernelOp] = None
+        self.head_version = -1
+        self.head_profile: Optional[KernelProfile] = None
+        self.head_missed = False
 
 
 class OrionBackend(Backend):
@@ -158,10 +166,7 @@ class OrionBackend(Backend):
         self._hp_stream = None
         self._hp_client_id: Optional[str] = None
         self._be: Dict[str, _BeClientState] = {}
-        self._be_order: List[str] = []
-        self._rr_index = 0
         self._current_hp: Optional[KernelOp] = None
-        self._wake = Signal(sim)
         self._started = False
         # EWMA of observed HP request latency (used when no profiled
         # latency was supplied).
@@ -241,7 +246,7 @@ class OrionBackend(Backend):
     def start(self) -> None:
         if not self._started:
             self._started = True
-            spawn(self.sim, self._run_scheduler(), "orion-scheduler")
+            self._start_scheduler()
             if self.config.watchdog_multiple is not None:
                 spawn(self.sim, self._run_watchdog(), "orion-watchdog")
 
@@ -340,9 +345,9 @@ class OrionBackend(Backend):
                           "client deregistered with ops pending",
                           client_id=client_id, time=self.sim.now)
         # Scheduler bookkeeping is repaired *before* any signal fires:
-        # triggering a drained/destroyed op's signal can resume the
-        # scheduler process synchronously, and it must never observe the
-        # dead client in its round-robin order or HP slot.
+        # triggering a drained/destroyed op's signal can run a scheduler
+        # pass synchronously, and it must never observe the dead client
+        # in its round-robin order or HP slot.
         if client_id == self._hp_client_id:
             hp_queue, hp_stream = self._hp_queue, self._hp_stream
             self._hp_queue = None
@@ -361,9 +366,7 @@ class OrionBackend(Backend):
             self.device.destroy_stream(hp_stream, error=error)
         elif client_id in self._be:
             state = self._be.pop(client_id)
-            self._be_order.remove(client_id)
-            self._rr_index = self._rr_index % len(self._be_order) \
-                if self._be_order else 0
+            self._leave_rotation(client_id)
             for _op, done in state.queue.drain():
                 done.trigger(None, error=error)
             self.device.destroy_stream(state.stream, error=error)
@@ -427,19 +430,9 @@ class OrionBackend(Backend):
             return self._hp_stream
         return self._be_state(client_id).stream
 
-    def _wake_scheduler(self) -> None:
-        if not self._wake.triggered:
-            self._wake.trigger()
-
     def _wake_watchdog(self) -> None:
         if not self._watchdog_wake.triggered:
             self._watchdog_wake.trigger()
-
-    @property
-    def hp_task_running(self) -> bool:
-        if self._hp_queue is None:
-            return False
-        return bool(self._hp_queue) or self._hp_stream.busy
 
     @property
     def hp_request_latency(self) -> float:
@@ -455,21 +448,27 @@ class OrionBackend(Backend):
             return self.config.sm_threshold
         return self.device.spec.num_sms
 
-    def _be_profile(self, op: KernelOp) -> KernelProfile:
+    def _cache_head_profile(self, state: _BeClientState,
+                            op: KernelOp) -> KernelProfile:
+        """Look up the head kernel's profile and cache it on ``state``."""
         profile = self.profiles.lookup(op.spec.name)
-        if profile is not None:
-            return profile
-        # Unprofiled kernel: be conservative — treat as unknown profile
-        # with its static launch footprint and a pessimistic duration.
-        self.profile_misses += 1
-        return KernelProfile(
-            kernel_id=op.spec.name,
-            duration=op.duration,
-            compute_util=op.compute_util,
-            memory_util=op.memory_util,
-            sm_needed=op.sm_needed,
-            profile=ResourceProfile.UNKNOWN,
-        )
+        state.head_missed = profile is None
+        if profile is None:
+            # Unprofiled kernel: be conservative — treat as unknown
+            # profile with its static launch footprint and a pessimistic
+            # duration.
+            profile = KernelProfile(
+                kernel_id=op.spec.name,
+                duration=op.duration,
+                compute_util=op.compute_util,
+                memory_util=op.memory_util,
+                sm_needed=op.sm_needed,
+                profile=ResourceProfile.UNKNOWN,
+            )
+        state.head_op = op
+        state.head_version = self.profiles.version
+        state.head_profile = profile
+        return profile
 
     def _total_outstanding(self) -> float:
         return sum(state.outstanding for state in self._be.values())
@@ -494,31 +493,20 @@ class OrionBackend(Backend):
             return self._current_hp.profile
         return None
 
-    def _run_scheduler(self):
-        """Listing 1's run_scheduler, event-driven instead of busy-polling."""
-        while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                # High-priority ops: forward immediately, in order.
-                while self._hp_queue is not None and len(self._hp_queue):
-                    op, done = self._hp_queue.pop()
-                    inner = self._hp_stream.submit(op)
-                    self._chain(inner, done)
-                    self._current_hp = op
-                    self._watch_stream(inner)
-                    progressed = True
-                # Best-effort clients: round-robin.
-                for offset in range(len(self._be_order)):
-                    client_id = self._be_order[(self._rr_index + offset)
-                                               % len(self._be_order)]
-                    if self._try_launch_be(client_id):
-                        self._rr_index = (self._rr_index + offset + 1) \
-                            % len(self._be_order)
-                        progressed = True
-            # Sleep until new work or a completion changes the world.
-            self._wake = Signal(self.sim)
-            yield self._wake
+    # Listing 1's run_scheduler is Backend._scheduler_pass, event-driven
+    # instead of busy-polling: one pass per wake (new work, or a
+    # completion that changes the world).
+    def _forward_hp(self) -> bool:
+        """High-priority ops: forward immediately, in order."""
+        forwarded = False
+        while self._hp_queue is not None and len(self._hp_queue):
+            op, done = self._hp_queue.pop()
+            inner = self._hp_stream.submit(op)
+            self._chain(inner, done)
+            self._current_hp = op
+            self._watch_stream(inner)
+            forwarded = True
+        return forwarded
 
     def _hp_transfer_done(self) -> None:
         self._hp_transfers_active -= 1
@@ -567,56 +555,74 @@ class OrionBackend(Backend):
                     })
 
     def _try_launch_be(self, client_id: str) -> bool:
-        state = self._be_state(client_id)
+        # Only ever called with ids from _be_order: no _be_state frame.
+        state = self._be[client_id]
         op = state.queue.peek()
         if op is None:
             return False
+        # Runs on every wake for every client with queued work, so block
+        # tracing is guarded here rather than inside _trace_be_block.
+        tracing = self.tracer.enabled
         if self.be_admission_suspended:
             self.be_kernels_deferred += 1
-            self._trace_be_block(client_id, "suspended")
+            if tracing:
+                self._trace_be_block(client_id, "suspended")
             return False
         if isinstance(op, MemoryOp):
             # PCIe management: hold BE transfers while an HP transfer
             # owns the bus; submit directly otherwise.
             if self._hp_transfers_active > 0:
                 self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "pcie_hold")
+                if tracing:
+                    self._trace_be_block(client_id, "pcie_hold")
                 return False
             op, done = state.queue.pop()
             inner = state.stream.submit(op)
             self._chain(inner, done)
             self._watch_stream(inner)
             return True
-        be_profile = self._be_profile(op)
+        if op is state.head_op and state.head_version == self.profiles.version:
+            be_profile = state.head_profile
+        else:
+            be_profile = self._cache_head_profile(state, op)
+        if state.head_missed:
+            self.profile_misses += 1
         # Duration throttle (Listing 1 lines 12-16), accounted per
         # best-effort client as in the listing: reset the budget when
         # this client's recorded CUDA event shows its pipeline drained.
         if state.outstanding > 0 and state.event.query():
             state.outstanding = 0.0
-        # The policy rules below are policy.duration_throttled and
-        # policy.schedule_be inlined (decision-for-decision): this is the
-        # scheduler's hottest function and the call/kwarg overhead of the
-        # pure-function forms is measurable.  hp_task_running walks the
-        # HP queue/stream; nothing between the checks mutates it, so
-        # evaluate once.
+        # Listing 1's schedule_be and duration throttle.  The HP task is
+        # running while its software queue or stream holds work; nothing
+        # between the checks changes that, so evaluate it once.
         config = self.config
-        hp_running = self.hp_task_running
+        hp_queue = self._hp_queue
+        hp_running = hp_queue is not None and (
+            len(hp_queue) > 0 or self._hp_stream.busy)
         if (hp_running and config.protect_prefill
                 and self._hp_phase == "prefill"):
             # Phase hint: compute-bound prefill in flight — hold all
             # best-effort kernels so TTFT stays at its solo latency.
             self.be_kernels_deferred += 1
             self.prefill_deferrals += 1
-            self._trace_be_block(client_id, "prefill_protect")
+            if tracing:
+                self._trace_be_block(client_id, "prefill_protect")
             return False
         if config.use_dur_throttle:
+            # Extension over the listing (DESIGN.md): while the HP task
+            # runs, a kernel whose own expected duration exceeds the
+            # whole budget is deferred too — submitted kernels are not
+            # preemptible, so it could hold the GPU past the HP target.
             budget = config.dur_threshold_frac * self.hp_request_latency
             if state.outstanding > budget or (
                     hp_running and be_profile.duration > budget):
                 self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "dur_threshold")
+                if tracing:
+                    self._trace_be_block(client_id, "dur_threshold")
                 return False
         if hp_running:
+            # SM rule (strict: fewer SMs than SM_THRESHOLD) and profile
+            # rule (opposite compute/memory class, unknown allowed).
             admit = True
             if config.use_sm_limit:
                 admit = be_profile.sm_needed < self.sm_threshold
@@ -627,10 +633,11 @@ class OrionBackend(Backend):
                 admit = have_different_profiles(current, be_profile.profile)
             if not admit:
                 self.be_kernels_deferred += 1
-                self._trace_be_block(client_id, "policy")
+                if tracing:
+                    self._trace_be_block(client_id, "policy")
                 return False
         op, done = state.queue.pop()
-        if self.tracer.enabled:
+        if tracing:
             self.tracer.instant("scheduler", "be_admit", client=client_id,
                                 kernel=op.spec.name)
         inner = state.stream.submit(op)
@@ -643,9 +650,8 @@ class OrionBackend(Backend):
         return True
 
     def _trace_be_block(self, client_id: str, reason: str) -> None:
-        if self.tracer.enabled:
-            self.tracer.instant("scheduler", "be_block", client=client_id,
-                                reason=reason)
+        self.tracer.instant("scheduler", "be_block", client=client_id,
+                            reason=reason)
 
     def _chain(self, inner: Signal, outer: Signal) -> None:
         """Forward the stream's completion to the client's signal."""

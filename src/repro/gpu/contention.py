@@ -48,11 +48,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.kernels.kernel import KernelOp
 
 __all__ = ["ContentionModel", "ContentionParams", "profile_similarity"]
+
+#: Resident sets each ContentionModel remembers the rates of; the memo
+#: is cleared when it fills (DESIGN.md §6.10).
+RATES_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -109,18 +113,10 @@ class ContentionModel:
             raise ValueError("num_sms must be >= 1")
         self.num_sms = num_sms
         self.params = params
-
-    def _priority_factor(self, own_priority: int, other_priority: int) -> float:
-        """How much of another kernel's demand this kernel experiences.
-
-        Equal priorities contend fully (1.0).  A higher-priority kernel
-        sees discounted interference from lower-priority co-runners,
-        while lower-priority kernels see amplified interference, roughly
-        conserving total throughput.
-        """
-        w_own = self.params.priority_weight_base**own_priority
-        w_other = self.params.priority_weight_base**other_priority
-        return 2.0 * w_other / (w_own + w_other)
+        # Rates by position, keyed on the resident set's ordered
+        # (compute, memory, sms, priority) tuples: the only inputs of
+        # the model, so equal keys give bit-identical rates.
+        self._memo: Dict[Tuple, List[float]] = {}
 
     def rates(
         self, kernels: Sequence[KernelOp], priorities: Dict[int, int]
@@ -128,10 +124,31 @@ class ContentionModel:
         """Progress rate per kernel ``seq`` for the resident set.
 
         ``priorities`` maps kernel ``seq`` to its stream priority
-        (larger = more important; 0 = default).
+        (larger = more important; 0 = default).  Results are memoized
+        per resident set (the device keeps revisiting the same few).
         """
         if not kernels:
             return {}
+        key = tuple([(k.compute_util, k.memory_util, k.sm_needed,
+                      priorities.get(k.seq, 0)) for k in kernels])
+        memo = self._memo
+        rates = memo.get(key)
+        if rates is None:
+            if len(memo) >= RATES_MEMO_SIZE:
+                memo.clear()
+            rates = memo[key] = self._compute_rates(kernels, priorities)
+        return {k.seq: rate for k, rate in zip(kernels, rates)}
+
+    def _compute_rates(self, kernels: Sequence[KernelOp],
+                       priorities: Dict[int, int]) -> List[float]:
+        """The model itself: one rate per kernel, in ``kernels`` order.
+
+        A co-runner ``j`` of priority ``p_j`` contributes its demand
+        scaled by ``2 w_j / (w_k + w_j)`` with ``w = base**p``: equal
+        priorities contend fully, a higher-priority kernel sees
+        discounted interference and a lower-priority one amplified
+        interference, roughly conserving total throughput.
+        """
         params = self.params
         alpha_c = params.alpha_compute
         alpha_m = params.alpha_memory
@@ -147,7 +164,7 @@ class ContentionModel:
             compute_term = (w_c * k.compute_util) ** alpha_c
             memory_term = (w_m * k.memory_util) ** alpha_m
             slowdown = max(1.0, compute_term, memory_term)
-            return {k.seq: 1.0 / slowdown}
+            return [1.0 / slowdown]
         gamma = params.gamma_sm
         beta = params.beta_coresidency
         base = params.priority_weight_base
@@ -160,7 +177,7 @@ class ContentionModel:
         # profile_similarity is symmetric and appears in both the SM and
         # residency terms; memoize per unordered pair for this call.
         sim_cache: Dict[tuple, float] = {}
-        result: Dict[int, float] = {}
+        result: List[float] = []
         for i, k in enumerate(kernels):
             w_own = weights[i]
             demand_c = k.compute_util
@@ -197,7 +214,7 @@ class ContentionModel:
                         beta * _pair_similarity(sim_cache, k, j) * share
                     )
             slowdown = max(1.0, compute_term, memory_term, sm_term, residency_term)
-            result[k.seq] = 1.0 / slowdown
+            result.append(1.0 / slowdown)
         return result
 
     def device_utilization(

@@ -88,13 +88,18 @@ class ProfileStore:
 
     The Orion scheduler holds one of these; lookups are by kernel id
     (kernel ids embed the model name, so the flat namespace is safe).
+    ``version`` changes whenever an entry may have changed (``add``,
+    ``drop``, ``corrupt``), so a caller may cache a lookup for as long
+    as the version it saw is current.
     """
 
     def __init__(self):
         self._models: Dict[str, ModelProfile] = {}
         self._kernels: Dict[str, KernelProfile] = {}
+        self.version = 0
 
     def add(self, profile: ModelProfile) -> None:
+        self.version += 1
         key = f"{profile.model_name}:{profile.kind}"
         self._models[key] = profile
         self._kernels.update(profile.kernels)
@@ -115,6 +120,7 @@ class ProfileStore:
         Subsequent lookups miss, exercising the scheduler's
         profile-miss fallback.  Returns True if the entry existed.
         """
+        self.version += 1
         existed = self._kernels.pop(kernel_id, None) is not None
         for model in self._models.values():
             model.kernels.pop(kernel_id, None)
@@ -123,6 +129,7 @@ class ProfileStore:
     def corrupt(self, kernel_id: str, factor: float = 10.0) -> bool:
         """Scale a kernel's profiled duration (fault injection: stale or
         wrong profile data).  Returns True if the entry existed."""
+        self.version += 1
         profile = self._kernels.get(kernel_id)
         if profile is None:
             return False

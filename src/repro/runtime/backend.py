@@ -246,6 +246,13 @@ class Backend(abc.ABC):
             if self.options.tracer is not None else NULL_TRACER
         self.metrics = self.options.metrics \
             if self.options.metrics is not None else MetricsRegistry()
+        # Software-queue scheduler state (Orion, REEF): best-effort
+        # clients in round-robin order, and a guard that is True while a
+        # pass runs and before the first pass — wakes in either window
+        # are dropped (see _wake_scheduler).
+        self._be_order: List[str] = []
+        self._rr_index = 0
+        self._in_pass = True
 
     def set_telemetry(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
         """Attach a run's tracer and/or metrics registry.  Must be
@@ -325,6 +332,59 @@ class Backend(abc.ABC):
 
     def _deregister_cleanup(self, info: ClientInfo) -> None:
         """Backend-specific teardown hook for :meth:`deregister_client`."""
+
+    # --- software-queue scheduler (Orion, REEF) -------------------------
+    def _start_scheduler(self) -> None:
+        """Run the first scheduler pass as one zero-delay event.  Wakes
+        before it fires are folded into it."""
+        self.sim.call_in(0.0, self._first_pass)
+
+    def _first_pass(self) -> None:
+        self._in_pass = False
+        self._wake_scheduler()
+
+    def _wake_scheduler(self) -> None:
+        """Run one scheduler pass now, unless one is already running.
+
+        A pass loops until nothing more can be forwarded, so a wake that
+        arrives during it (a completion fired by its own submits, a
+        client resumed by a queue pop) is dropped.  The guard is not
+        reset if the pass raises: the error propagates out of the
+        simulator and the scheduler stays down.
+        """
+        if not self._in_pass:
+            self._in_pass = True
+            self._scheduler_pass()
+            self._in_pass = False
+
+    def _scheduler_pass(self) -> None:
+        """Forward queued ops until no client can make progress: every
+        high-priority op, in order, then one launch attempt per
+        best-effort client in round-robin order; repeat while anything
+        moved."""
+        progressed = True
+        while progressed:
+            progressed = self._forward_hp()
+            order = self._be_order
+            for offset in range(len(order)):
+                client_id = order[(self._rr_index + offset) % len(order)]
+                if self._try_launch_be(client_id):
+                    self._rr_index = (self._rr_index + offset + 1) % len(order)
+                    progressed = True
+
+    def _forward_hp(self) -> bool:
+        """Submit every queued high-priority op; True if any moved."""
+        raise NotImplementedError
+
+    def _try_launch_be(self, client_id: str) -> bool:
+        """Launch ``client_id``'s head op if the policy allows it now."""
+        raise NotImplementedError
+
+    def _leave_rotation(self, client_id: str) -> None:
+        """Remove a best-effort client from the round-robin order."""
+        self._be_order.remove(client_id)
+        self._rr_index = self._rr_index % len(self._be_order) \
+            if self._be_order else 0
 
     def queue_telemetry(self) -> Dict[str, dict]:
         """Per-client software-queue depth snapshot (overload telemetry).

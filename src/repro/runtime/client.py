@@ -36,7 +36,9 @@ __all__ = ["ClientContext"]
 
 # Prune already-triggered completion signals once the outstanding list
 # exceeds this length, so long-running clients don't accumulate every
-# signal between synchronize() calls.
+# signal between synchronize() calls.  After a prune the next one waits
+# until the list doubles past the survivors, so a client with many live
+# ops is not rescanned on every launch.
 _PRUNE_THRESHOLD = 32
 
 
@@ -59,6 +61,7 @@ class ClientContext:
         self.tracer = backend.tracer
         self.info = backend.register_client(client_id, high_priority, kind)
         self._outstanding: List[Signal] = []
+        self._prune_at = _PRUNE_THRESHOLD
         self.ops_issued = 0
         self.closed = False
         # Sticky-error state (None while healthy).
@@ -174,8 +177,9 @@ class ClientContext:
         done = self.backend.submit(self.client_id, op)
         self.ops_issued += 1
         done.add_callback(self._observe_completion)
-        if len(self._outstanding) > _PRUNE_THRESHOLD:
+        if len(self._outstanding) > self._prune_at:
             self._outstanding = [s for s in self._outstanding if not s.triggered]
+            self._prune_at = max(_PRUNE_THRESHOLD, 2 * len(self._outstanding))
         self._outstanding.append(done)
         for hook in list(self._op_hooks):
             hook(self.ops_issued)

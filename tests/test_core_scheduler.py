@@ -271,3 +271,92 @@ def test_interception_overhead_positive():
     sim = Simulator()
     backend, *_ = setup_backend(sim)
     assert 0 < backend.interception_overhead() < 2e-6
+
+
+def _blocked_head_backend():
+    """An HP compute kernel on the GPU in a declared prefill phase, and
+    one queued BE memory kernel "be-k" (profiled 100 us, within the
+    250 us budget) held by prefill protection after the first pass has
+    looked its profile up."""
+    sim = Simulator()
+    hp_op = make_kernel(compute_spec("hp-k", duration=1e-3))
+    be_op = make_kernel(memory_spec("be-k", duration=1e-4, blocks=64))
+    # Without a profile the scheduler falls back to the op's own figures:
+    # a 1 ms duration, over the budget while the HP kernel runs.
+    be_op.duration = 1e-3
+    store = store_for(hp_op, make_kernel(memory_spec("be-k", duration=1e-4,
+                                                     blocks=64)))
+    backend = OrionBackend(sim, GpuDevice(sim, V100_16GB), store,
+                           OrionConfig(hp_request_latency=10e-3))
+    backend.register_client("hp", True, "inference")
+    backend.register_client("be", False, "training")
+    backend.start()
+    backend.phase_marker("hp", "prefill")
+    backend.submit("hp", hp_op)
+    backend.submit("be", be_op)
+    sim.step()  # first pass: HP forwarded, BE head checked and held
+    assert backend.prefill_deferrals > 0
+    assert backend.profile_misses == 0
+    assert backend.be_kernels_launched == 0
+    return backend, store
+
+
+def test_profile_drop_on_queued_head_is_seen_by_next_check():
+    backend, store = _blocked_head_backend()
+    deferred = backend.be_kernels_deferred
+    assert store.drop("be-k")
+    backend.phase_marker("hp", "decode")  # wakes: one check
+    # The fallback profile (1 ms) is over budget: with the stale cached
+    # 100 us profile the kernel would have been admitted.
+    assert backend.be_kernels_launched == 0
+    assert backend.profile_misses == 1
+    for checks in (2, 3):
+        backend._wake_scheduler()
+        assert backend.profile_misses == checks  # one miss per check
+    assert backend.be_kernels_deferred == deferred + 3
+
+
+def test_profile_corrupt_on_queued_head_is_seen_by_next_check():
+    backend, store = _blocked_head_backend()
+    deferred = backend.be_kernels_deferred
+    assert store.corrupt("be-k", factor=10.0)  # 100 us -> 1 ms
+    backend.phase_marker("hp", "decode")
+    assert backend.be_kernels_launched == 0
+    assert backend.be_kernels_deferred == deferred + 1
+    assert backend.profile_misses == 0
+    # Restoring a good profile re-admits on the next check.
+    assert store.corrupt("be-k", factor=0.1)
+    backend._wake_scheduler()
+    assert backend.be_kernels_launched == 1
+    assert backend.profile_misses == 0
+
+
+def test_wakes_before_first_pass_fold_into_it():
+    sim = Simulator()
+    op = make_kernel(memory_spec("be-k", duration=1e-4))
+    backend = OrionBackend(sim, GpuDevice(sim, V100_16GB), store_for(op),
+                           OrionConfig(hp_request_latency=10e-3))
+    backend.register_client("be", False, "training")
+    backend.start()
+    backend.submit("be", op)  # wakes, but the first pass has not run
+    assert backend.be_kernels_launched == 0
+    assert sim.step()  # the first pass is one zero-delay event
+    assert backend.be_kernels_launched == 1
+
+
+def test_wake_during_a_pass_is_dropped():
+    sim = Simulator()
+    backend, *_ = setup_backend(sim)
+    sim.run()  # the first pass
+    passes = []
+    run_pass = backend._scheduler_pass
+
+    def pass_that_wakes():
+        passes.append(sim.now)
+        backend._wake_scheduler()  # e.g. a completion fired mid-pass
+        run_pass()
+
+    backend._scheduler_pass = pass_that_wakes
+    backend._wake_scheduler()
+    backend._wake_scheduler()
+    assert len(passes) == 2  # one pass per outside wake, none nested

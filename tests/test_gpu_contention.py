@@ -1,11 +1,17 @@
 """Unit tests for the interference model."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gpu import contention
 from repro.gpu.contention import ContentionModel, ContentionParams, profile_similarity
 from repro.gpu.specs import V100_16GB
+from repro.kernels.kernel import KernelOp, ResourceProfile
 
-from helpers import BN_LIKE, CONV_LIKE, compute_spec, memory_spec, make_kernel
+from helpers import BN_LIKE, CONV_LIKE, compute_spec, memory_spec, make_kernel, tiny_spec
 
 
 def model(**kwargs):
@@ -138,3 +144,41 @@ def test_beta_zero_disables_residency_penalty():
     off = ContentionModel(80, params_off).rates([a, b], {})[a.seq]
     on = ContentionModel(80, params_on).rates([a, b], {})[a.seq]
     assert on < off
+
+
+# ----------------------------------------------------------------------
+# rates() memo: bit-identical to the unmemoized model
+# ----------------------------------------------------------------------
+_demand = st.tuples(
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.89, 1.0]),  # compute_util
+    st.sampled_from([0.0, 0.1, 0.3, 0.8, 1.0]),          # memory_util
+    st.sampled_from([1, 16, 80, 160, 640]),               # sm_needed
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(palette=st.lists(_demand, min_size=1, max_size=3),
+       resident_sets=st.lists(
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=4),
+           min_size=1, max_size=40),
+       memo_size=st.integers(1, 8))
+def test_memoized_rates_match_unmemoized_bit_for_bit(palette, resident_sets,
+                                                     memo_size):
+    # Resident sets of (demand index, stream priority) over a small
+    # palette of demands, so sets repeat (memo hits), also with only the
+    # priorities changed; a small memo bound forces clears mid-sequence.
+    memoized = model()
+    with mock.patch.object(contention, "RATES_MEMO_SIZE", memo_size):
+        for members in resident_sets:
+            demands = [palette[i % len(palette)] for i, _ in members]
+            kernels = [KernelOp(spec=tiny_spec(f"k{i}"), duration=1e-3,
+                                compute_util=c, memory_util=m, sm_needed=sm,
+                                profile=ResourceProfile.UNKNOWN)
+                       for i, (c, m, sm) in enumerate(demands)]
+            priorities = {k.seq: p for k, (_, p) in zip(kernels, members)}
+            expected = model()._compute_rates(kernels, priorities)
+            got = memoized.rates(kernels, priorities)
+            assert [got[k.seq].hex() for k in kernels] == \
+                [rate.hex() for rate in expected]
+            assert len(memoized._memo) <= memo_size

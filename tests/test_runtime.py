@@ -1,16 +1,18 @@
 """Unit tests for the runtime layer: hosts/GIL, client contexts, backends."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
 from repro.kernels.kernel import MemoryOpKind
-from repro.runtime.backend import SoftwareQueue
+from repro.runtime.backend import Backend, SoftwareQueue
 from repro.runtime.client import ClientContext
 from repro.runtime.direct import DedicatedBackend, DirectStreamBackend
 from repro.runtime.host import HostGil, HostThread
 from repro.sim.engine import Simulator
-from repro.sim.process import Timeout, spawn
+from repro.sim.process import Signal, Timeout, spawn
 
 from helpers import compute_spec, make_kernel
 
@@ -246,3 +248,52 @@ def test_dedicated_backend_one_device_per_client(sim):
     backend.register_client("b", high_priority=False, kind="training")
     assert len(backend.devices()) == 2
     assert backend.device_for("a") is not backend.device_for("b")
+
+
+# ----------------------------------------------------------------------
+# Outstanding-signal pruning
+# ----------------------------------------------------------------------
+class _ManualBackend(Backend):
+    """Hands out bare completion signals that the test fires itself."""
+
+    name = "manual"
+
+    def register_client(self, client_id, high_priority, kind):
+        return self._register(client_id, high_priority, kind)
+
+    def submit(self, client_id, op):
+        return Signal(self.sim)
+
+
+@settings(max_examples=40, deadline=None)
+# Past the first prune point (32 outstanding) in every example.
+@given(fires=st.lists(st.booleans(), min_size=40, max_size=300))
+def test_outstanding_pruning_keeps_every_pending_signal(fires):
+    """Whichever ops complete at once, every pending completion signal
+    stays tracked, and synchronize() waits for exactly those."""
+    sim = Simulator()
+    ctx = ClientContext(_ManualBackend(sim), "job", HostThread(sim))
+    op = make_kernel(compute_spec())
+    pending, synced = [], []
+
+    def job():
+        for fire_now in fires:
+            done = yield from ctx.launch_kernel(op)
+            if fire_now:
+                done.trigger()
+            else:
+                pending.append(done)
+            assert [s for s in ctx._outstanding if not s.triggered] == pending
+        yield from ctx.synchronize()
+        synced.append(sim.now)
+
+    spawn(sim, job())
+    issued_by = sim.run()
+    times = [issued_by + 1 + i for i in range(len(pending))]
+    for at, signal in zip(times, pending):
+        sim.call_at(at, signal.trigger)
+    if pending:
+        sim.run(until=times[-1] - 0.5)
+        assert synced == []
+    sim.run()
+    assert synced == [times[-1] if pending else issued_by]
