@@ -11,7 +11,8 @@ from bench_common import run_cell, save_result
 from repro.experiments.config import ExperimentConfig, JobSpec
 from repro.experiments.tables import format_table
 from repro.gpu.specs import V100_16GB
-from repro.workloads.models import MODEL_NAMES, get_plan
+from repro.workloads.models import MODEL_NAMES
+from repro.workloads.registry import build_plan
 
 # model, workload -> (SMs busy %, compute %, mem bw %, mem capacity %)
 PAPER = {
@@ -36,7 +37,7 @@ def measure(model: str, kind: str):
                               record_utilization=True)
     result = run_cell(config)
     util = result.utilization
-    capacity = get_plan(model, kind).state_bytes / V100_16GB.memory_capacity
+    capacity = build_plan(model, kind).state_bytes / V100_16GB.memory_capacity
     return util.sm_busy, util.compute, util.memory_bw, capacity
 
 

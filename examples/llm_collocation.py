@@ -10,19 +10,13 @@ BERT training job harvests the idle compute throughput.
 Run:  python examples/llm_collocation.py
 """
 
-from repro.core import OrionBackend, OrionConfig
+from repro.core import OrionConfig
 from repro.experiments.runner import get_profile
 from repro.experiments.tables import format_table
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import V100_16GB
+from repro.experiments.testbed import Testbed
 from repro.metrics.latency import summarize_latencies
 from repro.metrics.throughput import throughput
 from repro.profiler.nsight import profile_plan
-from repro.profiler.profiles import ProfileStore
-from repro.runtime.client import ClientContext
-from repro.runtime.direct import DedicatedBackend
-from repro.runtime.host import HostGil, HostThread
-from repro.sim.engine import Simulator
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import InferenceClient, TrainingClient
 from repro.workloads.models.llm import LLM_SMALL, llm_generation_plan
@@ -36,35 +30,25 @@ BE_MODEL = "bert"
 
 
 def run(backend_name: str):
-    sim = Simulator()
+    testbed = Testbed.build("V100-16GB", seed=0)
+    sim, device_spec = testbed.sim, testbed.device_spec
     llm_plan = llm_generation_plan(LLM_SMALL, batch=1, prompt_len=128,
                                    gen_tokens=16)
-    if backend_name == "orion":
-        device = GpuDevice(sim, V100_16GB)
-        store = ProfileStore()
-        llm_profile = profile_plan(llm_plan, V100_16GB)
-        store.add(llm_profile)
-        store.add(get_profile(BE_MODEL, "training", V100_16GB))
-        backend = OrionBackend(
-            sim, device, store,
-            OrionConfig(hp_request_latency=llm_profile.request_latency),
-        )
-    else:
-        backend = DedicatedBackend(sim, lambda: GpuDevice(sim, V100_16GB))
-    gil = None if backend.process_per_client else HostGil(sim)
+    llm_profile = profile_plan(llm_plan, device_spec)
+    testbed.store.add(llm_profile)
+    testbed.store.add(get_profile(BE_MODEL, "training", device_spec))
+    gpu = testbed.gpu(backend_name, OrionConfig(
+        hp_request_latency=llm_profile.request_latency))
 
-    llm_ctx = ClientContext(backend, "llm-serving", HostThread(sim, gil=gil),
-                            high_priority=True, kind="inference")
     llm_client = InferenceClient(
-        sim, llm_ctx, llm_plan, V100_16GB,
+        sim, gpu.ctx("llm-serving", True, "inference"), llm_plan, device_spec,
         PoissonArrivals(LLM_RPS, np.random.default_rng(0)),
         "llm-serving", horizon=DURATION,
     )
-    be_ctx = ClientContext(backend, "bert-train", HostThread(sim, gil=gil),
-                           kind="training")
-    be_client = TrainingClient(sim, be_ctx, build_plan(BE_MODEL, "training"),
-                               V100_16GB, "bert-train", horizon=DURATION)
-    backend.start()
+    be_client = TrainingClient(sim, gpu.ctx("bert-train", False, "training"),
+                               build_plan(BE_MODEL, "training"), device_spec,
+                               "bert-train", horizon=DURATION)
+    gpu.backend.start()
     llm_client.start()
     be_client.start()
     sim.run(until=DURATION)

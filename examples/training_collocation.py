@@ -11,7 +11,7 @@ search trajectory, then compares against Tick-Tock and REEF.
 Run:  python examples/training_collocation.py
 """
 
-from repro.core import OrionBackend, OrionConfig, SmThresholdTuner, TunerConfig
+from repro.core import OrionConfig, SmThresholdTuner, TunerConfig
 from repro.experiments import (
     Scenario,
     run_scenario,
@@ -20,44 +20,35 @@ from repro.experiments import (
 )
 from repro.experiments.runner import get_profile
 from repro.experiments.tables import format_table
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import V100_16GB
-from repro.profiler.profiles import ProfileStore
-from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
-from repro.sim.engine import Simulator
+from repro.experiments.testbed import Testbed
 from repro.workloads.clients import TrainingClient
-from repro.workloads.models import get_plan
+from repro.workloads.registry import build_plan
 
 HP_MODEL, BE_MODEL = "resnet50", "mobilenet_v2"
 
 
 def run_with_tuner(duration: float = 6.0):
     """Hand-built experiment so we can attach the live tuner."""
-    sim = Simulator()
-    device = GpuDevice(sim, V100_16GB)
-    store = ProfileStore()
-    hp_profile = get_profile(HP_MODEL, "training", V100_16GB)
-    store.add(hp_profile)
-    store.add(get_profile(BE_MODEL, "training", V100_16GB))
+    testbed = Testbed.build("V100-16GB", seed=0)
+    sim, device_spec = testbed.sim, testbed.device_spec
+    hp_profile = get_profile(HP_MODEL, "training", device_spec)
+    testbed.store.add(hp_profile)
+    testbed.store.add(get_profile(BE_MODEL, "training", device_spec))
 
-    backend = OrionBackend(
-        sim, device, store,
-        OrionConfig(hp_request_latency=hp_profile.request_latency),
-    )
-    gil = HostGil(sim)
+    gpu = testbed.gpu("orion", OrionConfig(
+        hp_request_latency=hp_profile.request_latency))
     clients = []
     for model, high_priority in ((HP_MODEL, True), (BE_MODEL, False)):
-        ctx = ClientContext(backend, f"{model}-train", HostThread(sim, gil=gil),
-                            high_priority=high_priority, kind="training")
-        client = TrainingClient(sim, ctx, get_plan(model, "training"),
-                                V100_16GB, f"{model}-train", horizon=duration)
+        name = f"{model}-train"
+        client = TrainingClient(sim, gpu.ctx(name, high_priority, "training"),
+                                build_plan(model, "training"), device_spec,
+                                name, horizon=duration)
         clients.append(client)
 
     dedicated_hp = solo_throughput(HP_MODEL, "training")
-    tuner = SmThresholdTuner(sim, backend, dedicated_hp,
+    tuner = SmThresholdTuner(sim, gpu.backend, dedicated_hp,
                              config=TunerConfig(tolerance=0.2, window=0.75))
-    backend.start()
+    gpu.backend.start()
     for client in clients:
         client.start()
     tuner.start()

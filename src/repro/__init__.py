@@ -6,7 +6,8 @@ Public entry points:
 
 * :mod:`repro.core` — the Orion scheduler.
 * :mod:`repro.baselines` — temporal, Streams, MPS, REEF-N, Tick-Tock, Ideal.
-* :mod:`repro.experiments` — configs + runner for every paper table/figure.
+* :mod:`repro.experiments` — configs, the ``Scenario`` API and the
+  simulated testbed behind every paper table/figure.
 * :mod:`repro.workloads` — the five DNN models, arrival processes, clients.
 * :mod:`repro.gpu` / :mod:`repro.sim` — the simulated device substrate.
 """
@@ -14,13 +15,14 @@ Public entry points:
 __version__ = "1.0.0"
 
 from repro.core import OrionBackend, OrionConfig
-from repro.experiments import ExperimentConfig, JobSpec, run_experiment
+from repro.experiments import ExperimentConfig, JobSpec, Scenario, run_scenario
 
 __all__ = [
     "OrionBackend",
     "OrionConfig",
     "ExperimentConfig",
     "JobSpec",
-    "run_experiment",
+    "Scenario",
+    "run_scenario",
     "__version__",
 ]

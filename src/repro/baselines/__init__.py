@@ -16,16 +16,4 @@ __all__ = [
     "REEF_QUEUE_SIZE",
     "TickTockBackend",
     "DedicatedBackend",
-    "BASELINE_NAMES",
 ]
-
-BASELINE_NAMES = (
-    "ideal",
-    "temporal",
-    "streams",
-    "priority-streams",
-    "mps",
-    "reef",
-    "ticktock",
-    "orion",
-)

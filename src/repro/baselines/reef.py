@@ -74,7 +74,6 @@ class ReefBackend(Backend):
         self._be: Dict[str, _BeState] = {}
         self._started = False
         self.be_kernels_launched = 0
-        self.set_telemetry()
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)

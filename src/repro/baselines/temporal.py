@@ -39,7 +39,6 @@ class TemporalBackend(Backend):
         # software op queues; its "queue" is the wait for the GPU lock).
         # Instruments live on the MetricsRegistry; cached per client.
         self._waits: Dict[str, tuple] = {}
-        self.set_telemetry()
 
     def _wait_instruments(self, client_id: str) -> tuple:
         inst = self._waits.get(client_id)

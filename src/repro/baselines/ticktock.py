@@ -42,7 +42,6 @@ class TickTockBackend(Backend):
         # op queues; its "queue" is the phase barrier).  Instruments
         # live on the MetricsRegistry; cached per client.
         self._waits: Dict[str, tuple] = {}
-        self.set_telemetry()
 
     def _wait_instruments(self, client_id: str) -> tuple:
         inst = self._waits.get(client_id)

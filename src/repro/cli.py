@@ -33,6 +33,10 @@ from repro.experiments.registry import (
     train_train_config,
 )
 from repro.experiments.params import (
+    EXPERIMENT_BACKENDS,
+    FAULTS_BACKENDS,
+    FLEET_BACKENDS,
+    LLM_BACKENDS,
     FaultsParams,
     FleetParams,
     LlmParams,
@@ -60,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--be", required=True, choices=MODEL_NAMES,
                        help="best-effort model")
         p.add_argument("--backend", default="orion",
-                       help="sharing technique (orion, reef, mps, streams, "
-                            "priority-streams, temporal, ticktock, ideal)")
+                       choices=EXPERIMENT_BACKENDS,
+                       help="sharing technique")
         p.add_argument("--duration", type=float, default=3.0,
                        help="simulated seconds (default 3.0)")
         p.add_argument("--seed", type=int, default=0)
@@ -87,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults",
                        help="fault-injection demo: kill clients mid-run, "
                             "print the error/availability ledger")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "reef", "streams", "priority-streams"),
+    p.add_argument("--backend", default="orion", choices=FAULTS_BACKENDS,
                    help="sharing technique")
     p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
     p.add_argument("--duration", type=float, default=0.2,
@@ -114,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "mid-run, print the availability report")
     p.add_argument("--num-gpus", type=int, default=8,
                    help="GPUs in the fleet (default 8)")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "reef", "streams", "priority-streams"),
+    p.add_argument("--backend", default="orion", choices=FLEET_BACKENDS,
                    help="per-GPU sharing technique")
     p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
     p.add_argument("--duration", type=float, default=0.15,
@@ -204,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="llm-small",
                    help="LLM workload name from the registry "
                         "(default llm-small)")
-    p.add_argument("--backend", default="orion",
-                   choices=("orion", "temporal", "streams",
-                            "priority-streams"),
+    p.add_argument("--backend", default="orion", choices=LLM_BACKENDS,
                    help="sharing technique")
     p.add_argument("--duration", type=float, default=0.2,
                    help="simulated seconds (default 0.2)")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="high-priority model (experiment scenarios)")
     p.add_argument("--be", default="mobilenet_v2", choices=MODEL_NAMES,
                    help="best-effort model (experiment scenarios)")
-    p.add_argument("--backend", default="orion",
+    p.add_argument("--backend", default="orion", choices=EXPERIMENT_BACKENDS,
                    help="sharing technique (experiment scenarios)")
     p.add_argument("--duration", type=float, default=0.4,
                    help="simulated seconds (default 0.4)")

@@ -11,7 +11,6 @@ from .fleet import (
     TenantPolicy,
     TenantSpec,
     availability_report,
-    run_fleet_scenario,
 )
 from .migration import (
     InterferenceTracker,
@@ -54,5 +53,4 @@ __all__ = [
     "TenantPolicy",
     "TenantSpec",
     "availability_report",
-    "run_fleet_scenario",
 ]

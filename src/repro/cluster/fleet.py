@@ -47,19 +47,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import PriorityStreamsBackend, ReefBackend, StreamsBackend
-from repro.core import OrionBackend, OrionConfig
+from repro.core import OrionConfig
 from repro.experiments.runner import get_profile
+from repro.experiments.testbed import GpuStack, Testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, GpuCrash, GpuDegrade, GpuRecover
 from repro.frameworks.lowering import instantiate_plan
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import DeviceSpec, get_device
+from repro.gpu.specs import DeviceSpec
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.profiler.profiles import ProfileStore
 from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
 from repro.sim.engine import Simulator
 from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
 from repro.sim.rng import RngFactory
@@ -86,7 +84,6 @@ __all__ = [
     "FleetRouter",
     "Fleet",
     "FleetResult",
-    "run_fleet_scenario",
 ]
 
 _ROUND = 9
@@ -315,7 +312,7 @@ class _TenantWorker:
                 self.current = job
                 yield from self.ctx.begin_request()
                 start = self.sim.now
-                ops = instantiate_plan(self.plan, self.fleet.device_spec,
+                ops = instantiate_plan(self.plan, self.fleet.testbed.device_spec,
                                        client_id=self.ctx.client_id)
                 for op in ops:
                     if op.is_kernel:
@@ -357,9 +354,7 @@ class FleetGpu:
         self.fleet = fleet
         self.index = index
         self.state = "down"  # boot() flips to "up"
-        self.device: Optional[GpuDevice] = None
-        self.backend = None
-        self.gil: Optional[HostGil] = None
+        self.stack: Optional[GpuStack] = None  # None while down
         self.workers: Dict[str, _TenantWorker] = {}
         self.health = GpuHealth(
             window=fleet.health_window,
@@ -383,12 +378,11 @@ class FleetGpu:
         tenant is resident everywhere.
         """
         fleet = self.fleet
-        self.device = GpuDevice(fleet.sim, fleet.device_spec)
-        self.backend = fleet.make_backend(fleet.sim, self.device)
-        self.backend.set_telemetry(tracer=fleet.tracer)
-        self.gil = HostGil(fleet.sim)
+        hp = [t for t in fleet.tenants if t.high_priority]
+        self.stack = fleet.testbed.gpu(fleet.backend_name, OrionConfig(
+            hp_request_latency=fleet.solo_latency[hp[0].model] if hp else None))
         self.workers = {}
-        self.backend.start()
+        self.stack.backend.start()
         for spec in fleet.tenants:
             if (fleet.assignment is None
                     or fleet.assignment.get(spec.name) == self.index):
@@ -397,12 +391,8 @@ class FleetGpu:
 
     def spawn_worker(self, spec: TenantSpec) -> _TenantWorker:
         """Create and start one tenant's resident worker on this GPU."""
-        host = HostThread(
-            self.fleet.sim, gil=self.gil,
-            interception_overhead=self.backend.interception_overhead())
-        ctx = ClientContext(self.backend, f"{spec.name}@gpu{self.index}",
-                            host, high_priority=spec.high_priority,
-                            kind="inference")
+        ctx = self.stack.ctx(f"{spec.name}@gpu{self.index}",
+                             spec.high_priority, "inference")
         worker = _TenantWorker(self.fleet, self, spec, ctx)
         self.workers[spec.name] = worker
         worker.start()
@@ -418,14 +408,12 @@ class FleetGpu:
             if worker is not None:
                 orphans.extend(worker.shutdown())
         self.workers = {}
-        self.device = None
-        self.backend = None
-        self.gil = None
+        self.stack = None
         return orphans
 
     def degrade(self, slowdown: float) -> None:
-        if self.device is not None:
-            self.device.set_slowdown(slowdown)
+        if self.stack is not None:
+            self.stack.device.set_slowdown(slowdown)
             self.state = "degraded"
 
     def recover(self) -> None:
@@ -433,8 +421,8 @@ class FleetGpu:
             self.health.reset()
             self.boot()
             self.recoveries += 1
-        elif self.state == "degraded" and self.device is not None:
-            self.device.set_slowdown(1.0)
+        elif self.state == "degraded" and self.stack is not None:
+            self.stack.device.set_slowdown(1.0)
             self.state = "up"
             # The slowdown is gone, but the health window still holds
             # the inflated-latency samples it produced — without a
@@ -722,12 +710,12 @@ class Fleet:
         self.num_gpus = num_gpus
         self.tenants = tuple(tenants)
         self._by_name = {t.name: t for t in self.tenants}
-        self.device_spec = device_spec
-        self.store = store
         self.backend_name = backend
-        self.rng_factory = rng_factory or RngFactory(0)
         self.ledger = ledger if ledger is not None else ErrorLedger()
         self.tracer = tracer
+        # Every GPU boots on the same testbed.
+        self.testbed = Testbed(sim, device_spec, rng_factory or RngFactory(0),
+                               store, tracer)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.health_window = health_window
         self.health_latency_tolerance = health_latency_tolerance
@@ -765,21 +753,6 @@ class Fleet:
     def tenant(self, name: str) -> TenantSpec:
         return self._by_name[name]
 
-    def make_backend(self, sim: Simulator, device: GpuDevice):
-        name = self.backend_name
-        if name == "orion":
-            hp = [t for t in self.tenants if t.high_priority]
-            hp_latency = self.solo_latency[hp[0].model] if hp else None
-            return OrionBackend(sim, device, self.store,
-                                OrionConfig(hp_request_latency=hp_latency))
-        if name == "reef":
-            return ReefBackend(sim, device)
-        if name == "streams":
-            return StreamsBackend(sim, device)
-        if name == "priority-streams":
-            return PriorityStreamsBackend(sim, device)
-        raise ValueError(f"unknown backend {name!r} for fleet scenario")
-
     def start(self, horizon: float) -> None:
         """Boot every GPU and spawn the shared arrival streams."""
         for gpu in self.gpus:
@@ -790,7 +763,7 @@ class Fleet:
 
     def _arrival_loop(self, spec: TenantSpec, horizon: float):
         arrivals = PoissonArrivals(
-            spec.rps, self.rng_factory.stream(f"poisson:{spec.name}"))
+            spec.rps, self.testbed.rng.stream(f"poisson:{spec.name}"))
         last = 0.0
         for t in arrivals.arrival_times(horizon):
             if t > last:
@@ -803,7 +776,7 @@ class Fleet:
     def add_worker(self, tenant: str, gpu_index: int) -> _TenantWorker:
         """Spawn ``tenant``'s resident worker on an up GPU (re-warm path)."""
         gpu = self.gpus[gpu_index]
-        if not gpu.routable or gpu.backend is None:
+        if not gpu.routable or gpu.stack is None:
             raise ValueError(f"gpu{gpu_index} is not up")
         if tenant in gpu.workers and not gpu.workers[tenant].dead:
             return gpu.workers[tenant]
@@ -1071,13 +1044,6 @@ def _default_tenants(capacity: float, num_gpus: int, model: str,
     return tenants
 
 
-def run_fleet_scenario(**params) -> FleetResult:
-    """Convenience wrapper: build a fleet Scenario and run it."""
-    from repro.experiments.scenario import Scenario, run as run_scenario
-
-    return run_scenario(Scenario(kind="fleet", params=params)).result
-
-
 def _run_fleet_scenario(
     seed: int = 0,
     duration: float = 0.2,
@@ -1138,14 +1104,9 @@ def _run_fleet_scenario(
             "(placement='plan'/'adversarial' or an explicit mapping); "
             "with placement='all' every tenant is already everywhere")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
+    testbed = Testbed.build(device, seed, telemetry)
+    sim, device_spec, tracer = testbed.sim, testbed.device_spec, testbed.tracer
     ledger = ErrorLedger()
-    telemetry = telemetry or TelemetryConfig()
-    tracer = telemetry.build_tracer(sim)
-    if telemetry.engine_events:
-        sim.attach_tracer(tracer)
 
     if plan is None:
         plan = FaultPlan.sample_fleet(
@@ -1163,10 +1124,9 @@ def _run_fleet_scenario(
             f"fault plan targets gpu {plan.max_gpu_index()} but the fleet "
             f"has only {num_gpus} GPUs")
 
-    store = ProfileStore()
     models = {model} | ({t.model for t in tenants} if tenants else set())
     for m in sorted(models):
-        store.add(get_profile(m, "inference", device_spec))
+        testbed.store.add(get_profile(m, "inference", device_spec))
 
     if tenants is None:
         capacity = 1.0 / get_profile(model, "inference",
@@ -1199,8 +1159,8 @@ def _run_fleet_scenario(
             f"tenant->gpu mapping; got {placement!r}")
 
     fleet = Fleet(
-        sim, num_gpus, tenants, device_spec, store, backend=backend,
-        rng_factory=rng_factory, ledger=ledger, tracer=tracer,
+        sim, num_gpus, tenants, device_spec, testbed.store, backend=backend,
+        rng_factory=testbed.rng, ledger=ledger, tracer=tracer,
         interference_weight=interference_weight, health_weight=health_weight,
         assignment=assignment, max_tenants_per_gpu=max_tenants_per_gpu,
     )

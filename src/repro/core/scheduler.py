@@ -72,8 +72,8 @@ class OrionConfig(PolicyConfig):
     behaviour); when a queue is full, ``overload_policy`` decides
     whether ``submit`` blocks the client until the queue drains to
     ``be_queue_high_water`` ("block", the default) or rejects the op
-    with a retryable ``QUEUE_FULL`` status ("reject") — overridable per
-    client via :meth:`OrionBackend.set_overload_policy`.
+    with a retryable ``QUEUE_FULL`` status ("reject"), for every
+    best-effort client alike.
     ``fallback_hp_latency`` is the HP request latency assumed before
     any profile or measurement lands.  ``hp_window`` sizes the rolling
     window of observed HP request latencies the SLO guard watches.
@@ -127,15 +127,14 @@ class OrionConfig(PolicyConfig):
 class _BeClientState:
     """Per-best-effort-client scheduling state."""
 
-    __slots__ = ("queue", "stream", "event", "outstanding", "policy",
+    __slots__ = ("queue", "stream", "event", "outstanding",
                  "head_op", "head_version", "head_profile", "head_missed")
 
-    def __init__(self, queue: SoftwareQueue, stream, policy: str = "block"):
+    def __init__(self, queue: SoftwareQueue, stream):
         self.queue = queue
         self.stream = stream
         self.event = CudaEvent()
         self.outstanding = 0.0  # expected seconds of submitted-unfinished work
-        self.policy = policy    # bounded-queue overflow policy
         # Profile of the queue's head kernel, valid while the head is
         # ``head_op`` and the store is at ``head_version``; a blocked
         # head is re-checked on every wake.
@@ -197,7 +196,6 @@ class OrionBackend(Backend):
         self.watchdog_flags: List[dict] = []
         self._watchdog_seen: set = set()
         self._watchdog_wake = Signal(sim)
-        self.set_telemetry()
 
     # ------------------------------------------------------------------
     # Backend interface
@@ -219,29 +217,32 @@ class OrionBackend(Backend):
             queue = self._new_queue(client_id,
                                     max_depth=self.config.be_queue_depth,
                                     high_water=self.config.be_queue_high_water)
-            policy = self.options.overload_policies.get(
-                client_id, self.config.overload_policy)
-            if policy not in OVERLOAD_POLICIES:
-                raise ValueError(f"policy must be one of {OVERLOAD_POLICIES}, "
-                                 f"got {policy!r}")
-            state = _BeClientState(queue, stream, policy=policy)
+            state = _BeClientState(queue, stream)
             self._be[client_id] = state
             self._be_order.append(client_id)
         return info
-
-    def set_overload_policy(self, client_id: str, policy: str) -> None:
-        """Override the bounded-queue overflow policy for one
-        best-effort client ("block" or "reject")."""
-        if policy not in OVERLOAD_POLICIES:
-            raise ValueError(f"policy must be one of {OVERLOAD_POLICIES}, "
-                             f"got {policy!r}")
-        self._be_state(client_id).policy = policy
 
     def devices(self) -> List[GpuDevice]:
         return [self.device]
 
     def interception_overhead(self) -> float:
         return ORION_INTERCEPTION_OVERHEAD
+
+    def stats(self) -> Dict[str, object]:
+        return {
+            "be_kernels_launched": self.be_kernels_launched,
+            "be_kernels_deferred": self.be_kernels_deferred,
+            "prefill_deferrals": self.prefill_deferrals,
+            "profile_misses": self.profile_misses,
+            "sm_threshold": self.sm_threshold,
+            "dur_threshold_frac": self.config.dur_threshold_frac,
+            "protect_prefill": self.config.protect_prefill,
+            "clients_deregistered": self.clients_deregistered,
+            "watchdog_flags": len(self.watchdog_flags),
+            "hp_requests_completed": self.hp_requests_completed,
+            "hp_deadline_misses": self.hp_deadline_misses,
+            "be_suspensions": self.be_suspensions,
+        }
 
     def start(self) -> None:
         if not self._started:
@@ -262,7 +263,7 @@ class OrionBackend(Backend):
             if (self.config.manage_pcie and not info.high_priority
                     and op.kind.is_transfer):
                 state = self._be_state(client_id)
-                if state.queue.full and state.policy == "reject":
+                if state.queue.full and self.config.overload_policy == "reject":
                     return self._reject_overload(state.queue, client_id)
                 done = state.queue.push(op)
                 self._wake_scheduler()
@@ -281,7 +282,7 @@ class OrionBackend(Backend):
             done = self._hp_queue.push(op)
         else:
             state = self._be_state(client_id)
-            if state.queue.full and state.policy == "reject":
+            if state.queue.full and self.config.overload_policy == "reject":
                 return self._reject_overload(state.queue, client_id)
             done = state.queue.push(op)
         self._wake_scheduler()
@@ -309,7 +310,8 @@ class OrionBackend(Backend):
         if info.high_priority:
             return None
         state = self._be.get(client_id)
-        if state is None or state.policy != "block" or not state.queue.full:
+        if (state is None or self.config.overload_policy != "block"
+                or not state.queue.full):
             return None
         return state.queue.wait_for_room()
 

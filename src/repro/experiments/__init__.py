@@ -8,13 +8,12 @@ from .registry import (
     solo_inference_config,
     train_train_config,
 )
-from .overload import OverloadResult, run_overload_scenario
+from .overload import OverloadResult
 from .registry import SCENARIOS, make_scenario, scenario_names
 from .runner import (
     ExperimentResult,
     JobResult,
     get_profile,
-    run_experiment,
     solo_latency_summary,
     solo_throughput,
 )
@@ -34,13 +33,11 @@ __all__ = [
     "scenario_names",
     "run_sweep",
     "sweep_to_json",
-    "run_experiment",
     "ExperimentResult",
     "JobResult",
     "get_profile",
     "solo_throughput",
     "solo_latency_summary",
-    "run_overload_scenario",
     "OverloadResult",
     "inf_train_config",
     "train_train_config",

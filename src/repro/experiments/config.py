@@ -7,6 +7,8 @@ from typing import Dict, List
 
 from repro.telemetry.tracer import TelemetryConfig
 
+from .params import EXPERIMENT_BACKENDS
+
 __all__ = ["JobSpec", "ExperimentConfig"]
 
 
@@ -51,11 +53,13 @@ class ExperimentConfig:
     record_utilization: bool = False
     # Extra kwargs forwarded to OrionConfig (ablation switches, thresholds).
     orion: Dict = field(default_factory=dict)
-    profile_noise: float = 0.0
     # Run telemetry: tracing off by default (nil-tracer fast path).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def __post_init__(self):
+        if self.backend not in EXPERIMENT_BACKENDS:
+            raise ValueError(f"backend must be one of {EXPERIMENT_BACKENDS}, "
+                             f"got {self.backend!r}")
         if not self.jobs:
             raise ValueError("experiment needs at least one job")
         if self.duration <= self.warmup:

@@ -23,28 +23,27 @@ Fully deterministic under (seed, arguments).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core import OrionBackend, OrionConfig, SloGuard, SloGuardConfig
+from repro.core import OrionConfig, SloGuard, SloGuardConfig
 from repro.experiments.runner import get_profile
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import get_device
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
-from repro.profiler.profiles import ProfileStore
-from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
 from repro.workloads.arrivals import make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient
 from repro.workloads.registry import build_plan
 
-__all__ = ["OverloadResult", "run_overload_scenario"]
+from .testbed import Testbed, report_stats
+
+__all__ = ["OverloadResult"]
+
+#: The backend counters an overload scenario reports.
+OVERLOAD_STATS = ("be_kernels_launched", "be_kernels_deferred",
+                  "hp_deadline_misses", "be_suspensions",
+                  "dur_threshold_frac")
 
 
 @dataclass
@@ -88,48 +87,6 @@ class OverloadResult:
         return sum(stats.shed for stats in self.jobs.values())
 
 
-def run_overload_scenario(
-    seed: int = 0,
-    duration: float = 0.4,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    be_clients: int = 2,
-    hp_load: float = 0.3,
-    be_load: float = 2.0,
-    arrivals: str = "poisson",
-    deadline_mult: Optional[float] = 20.0,
-    slo_mult: float = 1.2,
-    guard: bool = True,
-    queue_depth: Optional[int] = 32,
-    policy: str = "block",
-    initial_dur_frac: float = 0.35,
-    warmup: float = 0.0,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> OverloadResult:
-    """Deprecated shim: build a Scenario and call ``scenario.run`` instead.
-
-    Kept for back-compat; delegates to the unified Scenario API and
-    returns the same :class:`OverloadResult` it always did.
-    """
-    warnings.warn(
-        "run_overload_scenario() is deprecated and scheduled for removal "
-        "two releases after the Scenario API shipped (DESIGN.md §6.9); use "
-        "repro.experiments.scenario.run(Scenario(kind='overload', "
-        "params={...})) instead",
-        FutureWarning, stacklevel=2)
-    from .scenario import Scenario, run as run_scenario
-
-    params = dict(
-        seed=seed, duration=duration, model=model, device=device,
-        be_clients=be_clients, hp_load=hp_load, be_load=be_load,
-        arrivals=arrivals, deadline_mult=deadline_mult, slo_mult=slo_mult,
-        guard=guard, queue_depth=queue_depth, policy=policy,
-        initial_dur_frac=initial_dur_frac, warmup=warmup,
-        telemetry=telemetry,
-    )
-    return run_scenario(Scenario(kind="overload", params=params)).result
-
-
 def _run_overload_scenario(
     seed: int = 0,
     duration: float = 0.4,
@@ -169,43 +126,27 @@ def _run_overload_scenario(
     if be_load < 0:
         raise ValueError("be_load must be >= 0")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
+    testbed = Testbed.build(device, seed, telemetry)
+    sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
 
     profile = get_profile(model, "inference", device_spec)
-    store = ProfileStore()
-    store.add(profile)
+    testbed.store.add(profile)
     solo_latency = profile.request_latency
     capacity = 1.0 / solo_latency
     slo = slo_mult * solo_latency
     be_deadline = None if deadline_mult is None \
         else deadline_mult * solo_latency
 
-    telemetry = telemetry or TelemetryConfig()
     # Utilization segments feed the trace's device counters; recording
     # them without a tracer would only burn memory.
-    gpu = GpuDevice(sim, device_spec,
-                    record_utilization=telemetry.tracing)
-    backend = OrionBackend(sim, gpu, store, OrionConfig(
+    gpu = testbed.gpu("orion", OrionConfig(
         hp_request_latency=solo_latency,
         dur_threshold_frac=initial_dur_frac,
         be_queue_depth=queue_depth,
         overload_policy=policy,
-    ))
-    tracer = telemetry.build_tracer(sim)
-    backend.set_telemetry(tracer=tracer)
-    if telemetry.engine_events:
-        sim.attach_tracer(tracer)
-
-    gil = HostGil(sim)
-
-    def make_ctx(name: str, high_priority: bool) -> ClientContext:
-        host = HostThread(sim, gil=gil,
-                          interception_overhead=backend.interception_overhead())
-        return ClientContext(backend, name, host,
-                             high_priority=high_priority, kind="inference")
+    ), record_utilization=testbed.tracer.enabled)
+    backend = gpu.backend
 
     plan = build_plan(model, "inference")
     hp_rps = hp_load * capacity
@@ -216,14 +157,14 @@ def _run_overload_scenario(
         end_rps=3.0 * hp_rps, ramp_duration=duration,
     )
     clients: List[InferenceClient] = [InferenceClient(
-        sim, make_ctx("hp", True), plan, device_spec, hp_arrivals,
+        sim, gpu.ctx("hp", True, "inference"), plan, device_spec, hp_arrivals,
         "hp", horizon=duration, ledger=ledger,
     )]
     be_rps = (be_load * capacity / be_clients) if be_clients else 0.0
     for i in range(be_clients):
         name = f"be-{i}"
         clients.append(InferenceClient(
-            sim, make_ctx(name, False), plan, device_spec,
+            sim, gpu.ctx(name, False, "inference"), plan, device_spec,
             make_arrivals("poisson", rps=be_rps,
                           rng=rng_factory.stream(f"arrivals:{name}")),
             name, horizon=duration, ledger=ledger, deadline=be_deadline,
@@ -244,13 +185,6 @@ def _run_overload_scenario(
     jobs = {c.name: c.stats for c in clients}
     hp_latency = summarize_latencies(jobs["hp"].records, after=warmup)
 
-    backend_stats = {
-        "be_kernels_launched": backend.be_kernels_launched,
-        "be_kernels_deferred": backend.be_kernels_deferred,
-        "hp_deadline_misses": backend.hp_deadline_misses,
-        "be_suspensions": backend.be_suspensions,
-        "dur_threshold_frac": backend.config.dur_threshold_frac,
-    }
     return OverloadResult(
         capacity=capacity,
         solo_latency=solo_latency,
@@ -258,13 +192,13 @@ def _run_overload_scenario(
         hp_latency=hp_latency,
         jobs=jobs,
         ledger=ledger,
-        backend_stats=backend_stats,
+        backend_stats=report_stats(backend, OVERLOAD_STATS),
         queue_telemetry=backend.queue_telemetry(),
         guard_actions=list(slo_guard.actions) if slo_guard else [],
         guard_summary=slo_guard.summary() if slo_guard else None,
-        tracer=tracer,
+        tracer=testbed.tracer,
         metrics=backend.metrics,
-        utilization_segments=list(gpu.utilization_segments),
+        utilization_segments=list(gpu.device.utilization_segments),
         events_processed=sim.events_processed,
         sim_time=sim.now,
     )

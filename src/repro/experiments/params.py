@@ -27,6 +27,10 @@ __all__ = [
     "FleetParams",
     "LlmParams",
     "PARAM_TYPES",
+    "EXPERIMENT_BACKENDS",
+    "FAULTS_BACKENDS",
+    "FLEET_BACKENDS",
+    "LLM_BACKENDS",
     "validate_params",
 ]
 
@@ -34,8 +38,16 @@ __all__ = [
 # the implementations assert the same sets at run time.
 _OVERLOAD_POLICIES = ("block", "reject")
 _CACHE_POLICIES = ("evict", "block")
-_LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
 _OVERLOAD_ARRIVALS = ("poisson", "burst", "ramp")
+
+#: Backends each scenario kind runs on: names in
+#: ``repro.experiments.testbed.BACKENDS``.  Overload scenarios are
+#: Orion-only and have no backend knob.
+EXPERIMENT_BACKENDS = ("orion", "reef", "mps", "streams", "priority-streams",
+                       "temporal", "ticktock", "ideal")
+FAULTS_BACKENDS = ("orion", "reef", "streams", "priority-streams")
+FLEET_BACKENDS = ("orion", "reef", "streams", "priority-streams")
+LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
 
 
 class _ParamsBase:
@@ -117,6 +129,7 @@ class FaultsParams(_ParamsBase):
     def __post_init__(self):
         self._require_positive("duration", "hp_rps", "watchdog_multiple")
         self._require_non_negative("be_clients", "warmup")
+        self._require_choice("backend", FAULTS_BACKENDS)
 
 
 @dataclass(frozen=True)
@@ -163,6 +176,7 @@ class FleetParams(_ParamsBase):
                                    "migration_cooldown",
                                    "max_inflight_migrations",
                                    "migration_min_gain")
+        self._require_choice("backend", FLEET_BACKENDS)
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,7 @@ class LlmParams(_ParamsBase):
                                "kv_block_tokens", "ttft_slo_mult")
         self._require_non_negative("be_clients", "warmup")
         self._require_choice("cache_policy", _CACHE_POLICIES)
-        self._require_choice("backend", _LLM_BACKENDS)
+        self._require_choice("backend", LLM_BACKENDS)
         if self.prompt_mean > self.prompt_cap:
             raise ValueError("prompt_mean must be <= prompt_cap")
         if self.output_mean > self.output_cap:

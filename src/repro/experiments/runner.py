@@ -1,5 +1,6 @@
-"""Experiment runner: builds the simulator, backend, and clients; runs;
-collects per-job latency/throughput and device utilization.
+"""Experiment runner: builds one GPU on the shared testbed plus the
+clients; runs; collects per-job latency/throughput and device
+utilization.
 
 This is the harness behind every figure/table reproduction.  Offline
 profiles (the §5.2 phase) are computed once per (model, kind, device)
@@ -9,31 +10,16 @@ profile files.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines import (
-    DedicatedBackend,
-    MpsBackend,
-    PriorityStreamsBackend,
-    ReefBackend,
-    StreamsBackend,
-    TemporalBackend,
-    TickTockBackend,
-)
-from repro.core import OrionBackend, OrionConfig
-from repro.gpu.device import GpuDevice
+from repro.core import OrionConfig
 from repro.gpu.specs import DeviceSpec, get_device
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.metrics.throughput import throughput as throughput_of
 from repro.metrics.utilization import UtilizationAverages, average_utilization
 from repro.profiler.nsight import profile_plan
-from repro.profiler.profiles import ModelProfile, ProfileStore
-from repro.runtime.backend import Backend
-from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
-from repro.sim.engine import Simulator
+from repro.profiler.profiles import ModelProfile
 from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import NULL_TRACER
@@ -48,9 +34,15 @@ from repro.workloads.clients import ClientStats, InferenceClient, TrainingClient
 from repro.workloads.registry import build_plan
 
 from .config import ExperimentConfig, JobSpec
+from .testbed import Testbed, report_stats
 
-__all__ = ["run_experiment", "ExperimentResult", "JobResult", "get_profile",
+__all__ = ["ExperimentResult", "JobResult", "get_profile",
            "solo_throughput", "solo_latency_summary"]
+
+#: The backend counters an experiment reports.
+EXPERIMENT_STATS = ("be_kernels_launched", "be_kernels_deferred",
+                    "profile_misses", "sm_threshold", "clients_deregistered",
+                    "watchdog_flags", "hp_deadline_misses", "be_suspensions")
 
 # (model, kind, batch, device) -> ModelProfile; offline profiles are
 # deterministic, so sharing them across experiments is sound.
@@ -111,36 +103,6 @@ class ExperimentResult:
         return sum(j.throughput for j in self.jobs.values())
 
 
-def _make_backend(config: ExperimentConfig, sim: Simulator,
-                  device_spec: DeviceSpec, store: ProfileStore,
-                  hp_latency: Optional[float]) -> Backend:
-    def device_factory() -> GpuDevice:
-        return GpuDevice(sim, device_spec,
-                         record_utilization=config.record_utilization)
-
-    name = config.backend
-    if name == "ideal":
-        return DedicatedBackend(sim, device_factory)
-    device = device_factory()
-    if name == "temporal":
-        return TemporalBackend(sim, device)
-    if name == "streams":
-        return StreamsBackend(sim, device)
-    if name == "priority-streams":
-        return PriorityStreamsBackend(sim, device)
-    if name == "mps":
-        return MpsBackend(sim, device)
-    if name == "reef":
-        return ReefBackend(sim, device)
-    if name == "ticktock":
-        return TickTockBackend(sim, device)
-    if name == "orion":
-        orion_kwargs = dict(config.orion)
-        orion_kwargs.setdefault("hp_request_latency", hp_latency)
-        return OrionBackend(sim, device, store, OrionConfig(**orion_kwargs))
-    raise ValueError(f"unknown backend {name!r}")
-
-
 def _make_arrivals(job: JobSpec, config: ExperimentConfig, rng_factory: RngFactory):
     if job.arrivals == "closed":
         return ClosedLoop()
@@ -157,71 +119,39 @@ def _make_arrivals(job: JobSpec, config: ExperimentConfig, rng_factory: RngFacto
     raise ValueError(f"unknown arrival kind {job.arrivals!r}")
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Deprecated shim: build a Scenario and call ``scenario.run`` instead.
-
-    Kept for back-compat; delegates to the unified Scenario API and
-    returns the same :class:`ExperimentResult` it always did.
-    """
-    warnings.warn(
-        "run_experiment() is deprecated and scheduled for removal two "
-        "releases after the Scenario API shipped (DESIGN.md §6.9); use "
-        "repro.experiments.scenario.run(Scenario(kind='experiment', "
-        "experiment=config)) instead",
-        FutureWarning, stacklevel=2)
-    from .scenario import Scenario, run as run_scenario
-
-    return run_scenario(Scenario(kind="experiment", experiment=config)).result
-
-
 def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one collocation experiment end to end."""
-    sim = Simulator()
-    device_spec = get_device(config.device)
-    rng_factory = RngFactory(config.seed)
+    testbed = Testbed.build(config.device, config.seed, config.telemetry)
+    sim, device_spec = testbed.sim, testbed.device_spec
 
     # Offline profiling phase (cached across runs).
-    store = ProfileStore()
     hp_latency: Optional[float] = None
     for job in config.jobs:
         profile = get_profile(job.model, job.kind, device_spec, job.batch_size)
-        store.add(profile)
+        testbed.store.add(profile)
         if job.high_priority:
             hp_latency = profile.request_latency
 
-    backend = _make_backend(config, sim, device_spec, store, hp_latency)
+    orion_kwargs = dict(config.orion)
+    orion_kwargs.setdefault("hp_request_latency", hp_latency)
+    gpu = testbed.gpu(config.backend, OrionConfig(**orion_kwargs),
+                      record_utilization=config.record_utilization)
+    backend = gpu.backend
 
-    # Telemetry must be wired before clients register: queues and client
-    # contexts capture the tracer reference at creation.
-    tracer = config.telemetry.build_tracer(sim)
-    backend.set_telemetry(tracer=tracer)
-    if config.telemetry.engine_events:
-        sim.attach_tracer(tracer)
-
-    shared_gil = None if backend.process_per_client else HostGil(sim)
     clients = []
     for job in config.jobs:
-        host = HostThread(
-            sim,
-            gil=shared_gil,
-            interception_overhead=backend.interception_overhead(),
-        )
-        ctx = ClientContext(backend, job.name, host,
-                            high_priority=job.high_priority, kind=job.kind)
+        ctx = gpu.ctx(job.name, job.high_priority, job.kind)
         plan = build_plan(job.model, job.kind, batch_size=job.batch_size)
         if job.kind == "training":
             client = TrainingClient(sim, ctx, plan, device_spec, job.name,
                                     horizon=config.duration)
         else:
-            arrivals = _make_arrivals(job, config, rng_factory)
+            arrivals = _make_arrivals(job, config, testbed.rng)
             client = InferenceClient(sim, ctx, plan, device_spec, arrivals,
                                      job.name, horizon=config.duration)
         clients.append((job, client))
 
     backend.start()
-    # Re-propagate the tracer to devices created during registration
-    # (DedicatedBackend allocates one device per client).
-    backend.set_telemetry()
     for _job, client in clients:
         client.start()
     sim.run(until=config.duration)
@@ -235,7 +165,7 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                    job.high_priority, latency, tput,
                                    client.stats)
 
-    result = ExperimentResult(config=config, jobs=jobs, tracer=tracer,
+    result = ExperimentResult(config=config, jobs=jobs, tracer=testbed.tracer,
                               metrics=backend.metrics,
                               events_processed=sim.events_processed,
                               sim_time=sim.now)
@@ -246,17 +176,9 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.utilization_segments = segments
         result.utilization = average_utilization(segments, config.warmup,
                                                  config.duration)
-    if isinstance(backend, OrionBackend):
-        result.backend_stats = {
-            "be_kernels_launched": backend.be_kernels_launched,
-            "be_kernels_deferred": backend.be_kernels_deferred,
-            "profile_misses": backend.profile_misses,
-            "sm_threshold": backend.sm_threshold,
-            "clients_deregistered": backend.clients_deregistered,
-            "watchdog_flags": len(backend.watchdog_flags),
-            "hp_deadline_misses": backend.hp_deadline_misses,
-            "be_suspensions": backend.be_suspensions,
-        }
+    result.backend_stats = report_stats(backend, EXPERIMENT_STATS)
+    if result.backend_stats:
+        # Only backends that keep counters (Orion) report their queues.
         result.backend_stats["queue_telemetry"] = backend.queue_telemetry()
     return result
 

@@ -1,14 +1,11 @@
 """Unified Scenario API: one description, one entry point, one result.
 
-Historically each scenario family grew its own entry point with its own
-keyword surface: ``run_experiment(ExperimentConfig)`` for collocation
-experiments, ``run_overload_scenario(**kwargs)`` for the overload-
-protection demo, ``run_fault_scenario(**kwargs)`` for fault injection,
-plus ad-hoc keyword plumbing in the trace CLI.  A :class:`Scenario`
-subsumes all of them: ``kind`` selects the family, ``experiment``
-carries the full :class:`~repro.experiments.config.ExperimentConfig`
-for collocation runs, and ``params`` carries the keyword surface of the
-overload/faults scenarios verbatim.
+A :class:`Scenario` describes any run: ``kind`` selects the family,
+``experiment`` carries the full
+:class:`~repro.experiments.config.ExperimentConfig` for collocation
+runs, and ``params`` carries the keyword surface of the overload,
+faults, fleet and llm families verbatim.  Every family builds its GPUs
+on the shared testbed in :mod:`repro.experiments.testbed`.
 
 ``run(scenario)`` executes any of them and returns a
 :class:`ScenarioResult` wrapping the family-specific result object plus
@@ -17,19 +14,16 @@ wall-clock seconds).  ``ScenarioResult.canonical()`` renders the
 deterministic subset — everything except wall-clock — as plain data, so
 equal (scenario, seed) cells produce byte-identical JSON no matter
 where or in which process they ran: the property the sweep engine's
-merge step relies on, and the contract the deprecation-shim tests
-assert.
+merge step relies on.
 
 Named scenarios (the catalog the CLI, sweep, and bench share) live in
 :mod:`repro.experiments.registry` as ``make_scenario(name, ...)``.
-The legacy entry points survive as thin shims that emit a
-``FutureWarning`` and delegate here; see DESIGN.md §6.4 (removal
-schedule in §6.9).
 
-Params-kind scenarios are validated at construction against the typed
-dataclasses in :mod:`repro.experiments.params`: an unknown or
-out-of-range knob raises ``ValueError`` from ``Scenario(...)`` itself,
-not minutes later inside a sweep worker.
+Scenarios are validated at construction: params-kind scenarios against
+the typed dataclasses in :mod:`repro.experiments.params`, experiment
+scenarios by their ``ExperimentConfig``.  An unknown or out-of-range
+knob, or a backend the kind does not support, raises ``ValueError``
+from ``Scenario(...)`` itself, not minutes later inside a sweep worker.
 """
 
 from __future__ import annotations
@@ -124,8 +118,8 @@ class ScenarioResult:
     """Uniform wrapper around one scenario run.
 
     ``result`` is the family-specific object (``ExperimentResult``,
-    ``OverloadResult``, or ``FaultScenarioResult``) — everything the
-    legacy entry points returned is still reachable.  The wrapper adds
+    ``OverloadResult``, ``FaultScenarioResult``, ``FleetResult`` or
+    ``LlmServeResult``).  The wrapper adds
     the accounting every caller (bench, sweep, CLI) needs without
     re-deriving it: simulator events processed, simulated seconds, and
     wall-clock seconds.  Wall-clock is deliberately excluded from
@@ -163,9 +157,8 @@ class ScenarioResult:
 def run(scenario: Scenario) -> ScenarioResult:
     """Execute any :class:`Scenario` and wrap its outcome.
 
-    The family implementations are imported lazily so the deprecation
-    shims in their modules can in turn delegate here without an import
-    cycle.
+    The family implementations are imported lazily, so building a
+    scenario stays cheap.
     """
     start = time.perf_counter()
     if scenario.kind == "experiment":

@@ -14,7 +14,7 @@ from .plan import (
     ProfileFault,
     TransferFault,
 )
-from .scenario import FaultScenarioResult, run_fault_scenario
+from .scenario import FaultScenarioResult
 
 __all__ = [
     "FaultEvent",
@@ -28,5 +28,4 @@ __all__ = [
     "KillClient",
     "ProfileFault",
     "TransferFault",
-    "run_fault_scenario",
 ]

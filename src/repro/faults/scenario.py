@@ -12,22 +12,14 @@ serving again.  Used by ``python -m repro faults``, the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines import PriorityStreamsBackend, ReefBackend, StreamsBackend
-from repro.core import OrionBackend, OrionConfig
+from repro.core import OrionConfig
 from repro.experiments.runner import get_profile
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import get_device
+from repro.experiments.testbed import Testbed, report_stats
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
-from repro.profiler.profiles import ProfileStore
-from repro.runtime.client import ClientContext
-from repro.runtime.host import HostGil, HostThread
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngFactory
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import (
     ClientStats,
@@ -39,7 +31,11 @@ from repro.workloads.registry import build_plan
 from .injector import FaultInjector
 from .plan import FaultPlan, KillClient
 
-__all__ = ["FaultScenarioResult", "run_fault_scenario"]
+__all__ = ["FaultScenarioResult"]
+
+#: The backend counters a fault scenario reports.
+FAULTS_STATS = ("be_kernels_launched", "be_kernels_deferred",
+                "clients_deregistered", "watchdog_flags")
 
 
 @dataclass
@@ -58,56 +54,6 @@ class FaultScenarioResult:
     @property
     def hp_stats(self) -> ClientStats:
         return self.jobs["hp"]
-
-
-def _make_backend(name: str, sim: Simulator, device: GpuDevice,
-                  store: ProfileStore, hp_latency: float,
-                  watchdog_multiple: Optional[float]):
-    if name == "orion":
-        return OrionBackend(sim, device, store, OrionConfig(
-            hp_request_latency=hp_latency,
-            watchdog_multiple=watchdog_multiple,
-        ))
-    if name == "reef":
-        return ReefBackend(sim, device)
-    if name == "streams":
-        return StreamsBackend(sim, device)
-    if name == "priority-streams":
-        return PriorityStreamsBackend(sim, device)
-    raise ValueError(f"unknown backend {name!r} for fault scenario")
-
-
-def run_fault_scenario(
-    seed: int = 0,
-    duration: float = 0.2,
-    plan: Optional[FaultPlan] = None,
-    backend: str = "orion",
-    be_clients: int = 2,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    hp_rps: float = 100.0,
-    watchdog_multiple: Optional[float] = None,
-    warmup: float = 0.0,
-) -> FaultScenarioResult:
-    """Deprecated shim: build a Scenario and call ``scenario.run`` instead.
-
-    Kept for back-compat; delegates to the unified Scenario API and
-    returns the same :class:`FaultScenarioResult` it always did.
-    """
-    warnings.warn(
-        "run_fault_scenario() is deprecated and scheduled for removal two "
-        "releases after the Scenario API shipped (DESIGN.md §6.9); use "
-        "repro.experiments.scenario.run(Scenario(kind='faults', "
-        "params={...})) instead",
-        FutureWarning, stacklevel=2)
-    from repro.experiments.scenario import Scenario, run as run_scenario
-
-    params = dict(
-        seed=seed, duration=duration, plan=plan, backend=backend,
-        be_clients=be_clients, model=model, device=device, hp_rps=hp_rps,
-        watchdog_multiple=watchdog_multiple, warmup=warmup,
-    )
-    return run_scenario(Scenario(kind="faults", params=params)).result
 
 
 def _run_fault_scenario(
@@ -137,35 +83,26 @@ def _run_fault_scenario(
                 f"fault plan targets unknown client {event.client!r}; "
                 f"this scenario has {sorted(valid_targets)}")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
+    testbed = Testbed.build(device, seed)
+    sim, device_spec = testbed.sim, testbed.device_spec
     ledger = ErrorLedger()
 
-    store = ProfileStore()
     inf_profile = get_profile(model, "inference", device_spec)
-    store.add(inf_profile)
-    store.add(get_profile(model, "training", device_spec))
+    testbed.store.add(inf_profile)
+    testbed.store.add(get_profile(model, "training", device_spec))
 
-    gpu = GpuDevice(sim, device_spec)
-    be = _make_backend(backend, sim, gpu, store,
-                       inf_profile.request_latency, watchdog_multiple)
-
-    gil = HostGil(sim)
-
-    def make_ctx(name: str, high_priority: bool, kind: str) -> ClientContext:
-        host = HostThread(sim, gil=gil,
-                          interception_overhead=be.interception_overhead())
-        return ClientContext(be, name, host,
-                             high_priority=high_priority, kind=kind)
+    gpu = testbed.gpu(backend, OrionConfig(
+        hp_request_latency=inf_profile.request_latency,
+        watchdog_multiple=watchdog_multiple,
+    ))
 
     clients: List = []
     hp_plan = build_plan(model, "inference")
     hp = RestartingInferenceClient(
-        sim, make_ctx("hp", True, "inference"), hp_plan, device_spec,
-        PoissonArrivals(hp_rps, rng_factory.stream("poisson:hp")),
+        sim, gpu.ctx("hp", True, "inference"), hp_plan, device_spec,
+        PoissonArrivals(hp_rps, testbed.rng.stream("poisson:hp")),
         "hp", horizon=duration,
-        ctx_factory=lambda: make_ctx("hp", True, "inference"),
+        ctx_factory=lambda: gpu.ctx("hp", True, "inference"),
         ledger=ledger,
     )
     clients.append(hp)
@@ -173,19 +110,19 @@ def _run_fault_scenario(
     for i in range(be_clients):
         name = f"be-{i}"
         clients.append(RestartingTrainingClient(
-            sim, make_ctx(name, False, "training"), train_plan, device_spec,
+            sim, gpu.ctx(name, False, "training"), train_plan, device_spec,
             name, horizon=duration,
-            ctx_factory=lambda n=name: make_ctx(n, False, "training"),
+            ctx_factory=lambda n=name: gpu.ctx(n, False, "training"),
             ledger=ledger,
         ))
 
     injector = FaultInjector(
-        sim, plan, device=gpu,
+        sim, plan, device=gpu.device,
         clients={c.name: c for c in clients},
-        profiles=store,
+        profiles=testbed.store,
     ).start()
 
-    be.start()
+    gpu.backend.start()
     for client in clients:
         client.start()
     sim.run(until=duration)
@@ -197,16 +134,9 @@ def _run_fault_scenario(
     jobs = {c.name: c.stats for c in clients}
     hp_latency = summarize_latencies(hp.stats.records, after=warmup)
 
-    backend_stats: Dict = {}
-    if isinstance(be, OrionBackend):
-        backend_stats = {
-            "be_kernels_launched": be.be_kernels_launched,
-            "be_kernels_deferred": be.be_kernels_deferred,
-            "clients_deregistered": be.clients_deregistered,
-            "watchdog_flags": len(be.watchdog_flags),
-        }
     return FaultScenarioResult(plan=plan, ledger=ledger, jobs=jobs,
                                hp_latency=hp_latency,
-                               backend_stats=backend_stats,
+                               backend_stats=report_stats(gpu.backend,
+                                                          FAULTS_STATS),
                                events_processed=sim.events_processed,
                                sim_time=sim.now)

@@ -95,6 +95,7 @@ class GpuDevice:
         spec: DeviceSpec,
         contention_params: ContentionParams = ContentionParams(),
         record_utilization: bool = False,
+        tracer=NULL_TRACER,
     ):
         self.sim = sim
         self.spec = spec
@@ -120,10 +121,10 @@ class GpuDevice:
         # Armed fault-injection state (see repro.faults).
         self._armed_kernel_faults: List[ArmedKernelFault] = []
         self._armed_transfer_faults = 0
-        # Telemetry.  The tracer is wired by the run harness
-        # (Backend.set_telemetry / the experiment runner); the default
-        # null tracer keeps the hot paths on the disabled fast path.
-        self.tracer = NULL_TRACER
+        # Telemetry: the run's tracer, passed in by the testbed; the
+        # default null tracer keeps the hot paths on the disabled fast
+        # path.
+        self.tracer = tracer
         # Degradation factor (fleet fault injection): kernel progress
         # rates are divided by this, so a slowdown of 3.0 makes every
         # resident kernel take 3x as long from the moment it is set.

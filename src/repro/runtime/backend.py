@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Union
 
 from repro.gpu.device import GpuDevice
@@ -43,22 +43,12 @@ class UnknownClientError(KeyError):
 
 @dataclass
 class BackendOptions:
-    """Construction-time wiring for a backend.
-
-    Collects what used to be one setter per feature
-    (``set_telemetry``, ``set_overload_policy``, ...) into a single
-    object passed at construction, so telemetry and policy references
-    are in place *before* any client registers and captures them.  The
-    setters remain as back-compat shims.
-
-    ``overload_policies`` maps client ids to a bounded-queue overflow
-    policy ("block" or "reject"); backends that support per-client
-    policies apply the entry when that client registers.
-    """
+    """Construction-time wiring for a backend: the run's tracer and
+    metrics registry, in place *before* any client registers and
+    captures them."""
 
     tracer: Optional[object] = None
     metrics: Optional[MetricsRegistry] = None
-    overload_policies: Dict[str, str] = field(default_factory=dict)
 
 
 class ClientInfo:
@@ -238,10 +228,9 @@ class Backend(abc.ABC):
         # Registry of software queues for uniform depth telemetry; a
         # backend that queues ops creates queues via _new_queue.
         self._software_queues: Dict[str, SoftwareQueue] = {}
-        # Telemetry: off by default (nil-tracer fast path).  Wire a run's
-        # tracer/registry via BackendOptions (preferred) or with
-        # set_telemetry BEFORE clients register — queues and client
-        # contexts capture the references at creation.
+        # Telemetry: off by default (nil-tracer fast path).  A run's
+        # tracer/registry come in through BackendOptions, so they are in
+        # place before clients register and capture them.
         self.tracer = self.options.tracer \
             if self.options.tracer is not None else NULL_TRACER
         self.metrics = self.options.metrics \
@@ -253,20 +242,6 @@ class Backend(abc.ABC):
         self._be_order: List[str] = []
         self._rr_index = 0
         self._in_pass = True
-
-    def set_telemetry(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
-        """Attach a run's tracer and/or metrics registry.  Must be
-        called before clients register: software queues and client
-        contexts capture the references when they are created."""
-        if tracer is not None:
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
-        try:
-            for device in self.devices():
-                device.tracer = self.tracer
-        except NotImplementedError:
-            pass
 
     @abc.abstractmethod
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
@@ -312,6 +287,11 @@ class Backend(abc.ABC):
     def interception_overhead(self) -> float:
         """Per-op host-side overhead this backend adds (seconds)."""
         return 0.0
+
+    def stats(self) -> Dict[str, object]:
+        """Scheduler counters for run reports; empty for backends that
+        keep none.  Each scenario kind reports a fixed subset."""
+        return {}
 
     def client_info(self, client_id: str) -> ClientInfo:
         """Registration record for ``client_id``; raises

@@ -56,8 +56,8 @@ class ClientContext:
         self.backend = backend
         self.client_id = client_id
         self.host = host
-        # Captured at construction: the backend's tracer must be wired
-        # (Backend.set_telemetry) before contexts are created.
+        # Captured at construction: the backend gets its tracer through
+        # BackendOptions when it is built.
         self.tracer = backend.tracer
         self.info = backend.register_client(client_id, high_priority, kind)
         self._outstanding: List[Signal] = []

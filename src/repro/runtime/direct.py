@@ -33,7 +33,6 @@ class DirectStreamBackend(Backend):
         self.device = device
         self.use_priorities = use_priorities
         self._streams: Dict[str, object] = {}
-        self.set_telemetry()
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)

@@ -17,7 +17,7 @@ from .clients import (
     RestartingTrainingClient,
     TrainingClient,
 )
-from .models import MODEL_NAMES, NLP_MODELS, VISION_MODELS, batch_size_for, get_plan
+from .models import MODEL_NAMES, NLP_MODELS, VISION_MODELS, batch_size_for
 from .rates import TABLE3_RPS, rps_for
 from .registry import (
     WORKLOADS,
@@ -45,7 +45,6 @@ __all__ = [
     "RestartingTrainingClient",
     "ClientStats",
     "RequestRecord",
-    "get_plan",
     "batch_size_for",
     "MODEL_NAMES",
     "VISION_MODELS",

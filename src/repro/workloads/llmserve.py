@@ -66,6 +66,11 @@ __all__ = [
 #: Valid KV-cache pressure policies.
 CACHE_POLICIES = ("evict", "block")
 
+#: The backend counters an LLM serving scenario reports.
+LLM_STATS = ("be_kernels_launched", "be_kernels_deferred",
+             "prefill_deferrals", "hp_requests_completed",
+             "dur_threshold_frac", "protect_prefill")
+
 # Startup-allocation OOM retry/backoff (same constants as the DNN
 # clients in repro.workloads.clients).
 _OOM_RETRIES = 5
@@ -619,14 +624,9 @@ def _run_llm_scenario(
     SLO reported (and asserted by the benchmark) is ``ttft_slo_mult``
     x the solo prefill latency estimate at the mean prompt length.
     """
-    from repro.core import OrionBackend, OrionConfig
+    from repro.core import OrionConfig
     from repro.experiments.runner import get_profile
-    from repro.gpu.device import GpuDevice
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.runtime.host import HostGil, HostThread
-    from repro.sim.rng import RngFactory
-    from repro.telemetry.tracer import TelemetryConfig
+    from repro.experiments.testbed import Testbed, report_stats
     from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
@@ -645,11 +645,9 @@ def _run_llm_scenario(
         raise ValueError(f"workload {model!r} is not an LLM workload; "
                          "kind='llm' scenarios need one (e.g. 'llm-small')")
 
-    sim = Simulator()
-    device_spec = get_device(device)
-    rng_factory = RngFactory(seed)
+    testbed = Testbed.build(device, seed, telemetry)
+    sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
-    telemetry = telemetry or TelemetryConfig()
 
     # Reference latencies from the lowering, used for the Orion duration
     # budget and the TTFT SLO — profiled estimates, not ground truth.
@@ -666,38 +664,16 @@ def _run_llm_scenario(
                                     Namer(f"{config.name}-ref/decode")))
     ttft_slo = ttft_slo_mult * prefill_ref
 
-    store = ProfileStore()
     be_plan = None
     if be_clients:
-        store.add(get_profile(be_model, "training", device_spec))
+        testbed.store.add(get_profile(be_model, "training", device_spec))
         be_plan = build_plan(be_model, "training")
 
-    gpu = GpuDevice(sim, device_spec, record_utilization=telemetry.tracing)
-    if backend == "orion":
-        be_backend = OrionBackend(sim, gpu, store, OrionConfig(
-            fallback_hp_latency=decode_ref,
-            protect_prefill=protect_prefill,
-        ))
-    elif backend == "temporal":
-        from repro.baselines.temporal import TemporalBackend
-
-        be_backend = TemporalBackend(sim, gpu)
-    elif backend == "streams":
-        from repro.baselines.spatial import StreamsBackend
-
-        be_backend = StreamsBackend(sim, gpu)
-    elif backend == "priority-streams":
-        from repro.baselines.spatial import PriorityStreamsBackend
-
-        be_backend = PriorityStreamsBackend(sim, gpu)
-    else:
-        raise ValueError(
-            f"kind='llm' supports backends orion|temporal|streams|"
-            f"priority-streams, got {backend!r}")
-    tracer = telemetry.build_tracer(sim)
-    be_backend.set_telemetry(tracer=tracer)
-    if telemetry.engine_events:
-        sim.attach_tracer(tracer)
+    stack = testbed.gpu(backend, OrionConfig(
+        fallback_hp_latency=decode_ref,
+        protect_prefill=protect_prefill,
+    ), record_utilization=testbed.tracer.enabled)
+    gpu, be_backend = stack.device, stack.backend
 
     # Enforce the KV budget with real memory: reserve everything beyond
     # (weights + best-effort state + budget), so cache growth past the
@@ -711,17 +687,8 @@ def _run_llm_scenario(
         if blocker > 0:
             gpu.memory.malloc(blocker, client_id="kv-budget-reserve")
 
-    gil = HostGil(sim)
-
-    def make_ctx(name: str, high_priority: bool, kind: str) -> ClientContext:
-        host = HostThread(
-            sim, gil=gil,
-            interception_overhead=be_backend.interception_overhead())
-        return ClientContext(be_backend, name, host,
-                             high_priority=high_priority, kind=kind)
-
     engine = ContinuousBatchingEngine(
-        sim, make_ctx("llm", True, "inference"), config, device_spec,
+        sim, stack.ctx("llm", True, "inference"), config, device_spec,
         PoissonArrivals(request_rate, rng_factory.stream("llm:arrivals")),
         prompt_rng=rng_factory.stream("llm:prompts"),
         output_rng=rng_factory.stream("llm:outputs"),
@@ -736,7 +703,7 @@ def _run_llm_scenario(
     for i in range(be_clients):
         name = f"be-{i}"
         be_jobs.append(TrainingClient(
-            sim, make_ctx(name, False, "training"), be_plan, device_spec,
+            sim, stack.ctx(name, False, "training"), be_plan, device_spec,
             name, horizon=duration, ledger=ledger))
 
     be_backend.start()
@@ -757,17 +724,6 @@ def _run_llm_scenario(
     span = max(sim.now - warmup, 1e-12)
     total_tokens = engine.decode_tokens + engine.prefill_tokens
 
-    backend_stats: Dict = {}
-    if backend == "orion":
-        backend_stats = {
-            "be_kernels_launched": be_backend.be_kernels_launched,
-            "be_kernels_deferred": be_backend.be_kernels_deferred,
-            "prefill_deferrals": be_backend.prefill_deferrals,
-            "hp_requests_completed": be_backend.hp_requests_completed,
-            "dur_threshold_frac": be_backend.config.dur_threshold_frac,
-            "protect_prefill": be_backend.config.protect_prefill,
-        }
-
     return LlmServeResult(
         model=model,
         backend=backend,
@@ -784,7 +740,7 @@ def _run_llm_scenario(
         admission_log=list(engine.admission_log),
         kv=engine.kv.snapshot(),
         jobs={job.name: job.stats for job in be_jobs},
-        backend_stats=backend_stats,
+        backend_stats=report_stats(be_backend, LLM_STATS),
         ledger=ledger,
         events_processed=sim.events_processed,
         sim_time=sim.now,

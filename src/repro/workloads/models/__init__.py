@@ -11,7 +11,6 @@ from .zoo import (
     NLP_MODELS,
     VISION_MODELS,
     batch_size_for,
-    get_plan,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "LlmConfig",
     "LLM_SMALL",
     "llm_generation_plan",
-    "get_plan",
     "batch_size_for",
     "MODEL_NAMES",
     "VISION_MODELS",

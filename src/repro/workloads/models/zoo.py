@@ -1,7 +1,8 @@
 """Workload registry: the paper's five models with Table 1 batch sizes.
 
-``get_plan(model, kind)`` returns the lowered op plan for one inference
-request or one training iteration, using the exact batch sizes of
+The lowered op plan for one inference request or one training
+iteration of each model (reached through
+:func:`repro.workloads.registry.build_plan`) uses the exact batch sizes of
 Table 1 (inference: ResNet50/MobileNetV2/ResNet101/Transformer batch 4,
 BERT-large batch 2; training: ResNet50/101 batch 32, MobileNetV2 batch
 64, BERT-base and Transformer batch 8).  Plans are cached — building
@@ -21,7 +22,7 @@ from .mobilenet import mobilenet_v2
 from .resnet import resnet50, resnet101
 from .transformer import TRANSFORMER_SEQ_LEN, transformer_xl
 
-__all__ = ["MODEL_NAMES", "VISION_MODELS", "NLP_MODELS", "get_plan",
+__all__ = ["MODEL_NAMES", "VISION_MODELS", "NLP_MODELS",
            "batch_size_for", "DEFAULT_BATCH_SIZES"]
 
 MODEL_NAMES = ("resnet50", "mobilenet_v2", "resnet101", "bert", "transformer")
@@ -76,7 +77,7 @@ def _input_shape(model: str, batch: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def get_plan(model: str, kind: str, batch_size: int = 0) -> OpPlan:
+def _cached_plan(model: str, kind: str, batch_size: int = 0) -> OpPlan:
     """Lowered plan for one request/iteration of ``model``.
 
     ``batch_size`` of 0 selects the paper's Table 1 default.

@@ -13,9 +13,7 @@ OpPlan` for it.  The registry spans both workload families:
   alias), wrapping :func:`~repro.workloads.models.llm.
   llm_generation_plan` with its typed batch/prompt/gen knobs.
 
-``get_plan(model, kind)`` remains as the legacy thin path for the zoo
-models; new code — ``make_scenario`` param validation, the LLM serving
-scenario, examples — goes through the registry so a workload is always
+``build_plan`` is the front door for every plan, so a workload is always
 constructible from a plain string name plus JSON-safe kwargs (the
 serve daemon's submit surface).
 """
@@ -27,8 +25,7 @@ from typing import Dict, Protocol, Tuple, runtime_checkable
 from repro.frameworks.lowering import OpPlan
 
 from .models.llm import LLM_SMALL, LlmConfig, llm_generation_plan
-from .models.zoo import DEFAULT_BATCH_SIZES, MODEL_NAMES
-from .models.zoo import get_plan as _zoo_get_plan
+from .models.zoo import DEFAULT_BATCH_SIZES, MODEL_NAMES, _cached_plan
 
 __all__ = [
     "WorkloadSpec",
@@ -79,7 +76,7 @@ class ZooWorkload:
         self._check_kind(kind)
         if batch_size < 0:
             raise ValueError(f"batch_size must be >= 0, got {batch_size}")
-        return _zoo_get_plan(self.name, kind, batch_size)
+        return _cached_plan(self.name, kind, batch_size)
 
     def _check_kind(self, kind: str) -> None:
         if kind not in self.kinds:

@@ -3,51 +3,20 @@ UnknownClientError consistently for unknown/double deregistration."""
 
 import pytest
 
-from repro.baselines import (
-    MpsBackend,
-    PriorityStreamsBackend,
-    ReefBackend,
-    StreamsBackend,
-    TemporalBackend,
-    TickTockBackend,
-)
-from repro.core import OrionBackend, OrionConfig
-from repro.gpu.device import GpuDevice
-from repro.gpu.specs import get_device
-from repro.profiler.profiles import ProfileStore
+from repro.core import OrionConfig
+from repro.experiments.testbed import Testbed
 from repro.runtime import UnknownClientError
-from repro.runtime.direct import DedicatedBackend
-from repro.sim.engine import Simulator
 
 BACKEND_NAMES = ("orion", "reef", "streams", "priority-streams", "mps",
                  "temporal", "ticktock", "dedicated")
 
 
 def make_backend(name: str):
-    sim = Simulator()
-    spec = get_device("V100-16GB")
-
-    def device() -> GpuDevice:
-        return GpuDevice(sim, spec)
-
-    if name == "orion":
-        return OrionBackend(sim, device(), ProfileStore(),
-                            OrionConfig(hp_request_latency=1e-3))
-    if name == "reef":
-        return ReefBackend(sim, device())
-    if name == "streams":
-        return StreamsBackend(sim, device())
-    if name == "priority-streams":
-        return PriorityStreamsBackend(sim, device())
-    if name == "mps":
-        return MpsBackend(sim, device())
-    if name == "temporal":
-        return TemporalBackend(sim, device())
-    if name == "ticktock":
-        return TickTockBackend(sim, device())
-    if name == "dedicated":
-        return DedicatedBackend(sim, device)
-    raise AssertionError(name)
+    """A fresh backend from the registry ("dedicated" is "ideal")."""
+    testbed = Testbed.build("V100-16GB", seed=0)
+    registry_name = "ideal" if name == "dedicated" else name
+    return testbed.gpu(registry_name,
+                       OrionConfig(hp_request_latency=1e-3)).backend
 
 
 @pytest.mark.parametrize("name", BACKEND_NAMES)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cluster.fleet import (
-    GpuHealth,
-    TenantPolicy,
-    TenantSpec,
-    run_fleet_scenario,
-)
+from repro.cluster.fleet import GpuHealth, TenantPolicy, TenantSpec
 from repro.experiments.registry import make_scenario
 from repro.experiments.scenario import SCENARIO_KINDS, Scenario, run
 from repro.faults import (
@@ -292,7 +287,7 @@ def test_fleet_scenario_api_integration():
 
 
 def test_run_fleet_scenario_wrapper():
-    result = run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
-                                plan=FaultPlan(()))
+    result = run(Scenario(kind="fleet", params=dict(
+        seed=0, duration=0.02, num_gpus=2, plan=FaultPlan(())))).result
     assert result.num_gpus == 2
     assert result.report["num_gpus"] == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.fleet import FleetJob, run_fleet_scenario
+from repro.cluster.fleet import FleetJob
 from repro.cluster.migration import (
     InterferenceTracker,
     MigrationController,
@@ -20,6 +20,11 @@ SMALL = dict(seed=0, duration=0.1, num_gpus=2, be_tenants=1,
              plan=NO_FAULTS, placement="adversarial", rebalance=True,
              rebalance_interval=0.02, migration_min_gain=0.01,
              migration_cost_weight=0.1, hp_load=0.15, be_load=0.15)
+
+
+def run_fleet(**params):
+    """Run a fleet scenario through the Scenario API."""
+    return run(Scenario(kind="fleet", params=params)).result
 
 
 def accounted(result):
@@ -72,17 +77,17 @@ def test_interference_tracker_window_and_clamping():
 
 
 def test_controller_requires_single_home_fleet():
-    result = run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
+    result = run_fleet(seed=0, duration=0.02, num_gpus=2,
                                 plan=NO_FAULTS)
     assert result.migration == {}
     with pytest.raises(ValueError):
-        run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
+        run_fleet(seed=0, duration=0.02, num_gpus=2,
                            plan=NO_FAULTS, rebalance=True)  # placement="all"
 
 
 def test_unknown_placement_rejected():
     with pytest.raises(ValueError):
-        run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
+        run_fleet(seed=0, duration=0.02, num_gpus=2,
                            plan=NO_FAULTS, placement="bogus")
 
 
@@ -91,7 +96,7 @@ def test_unknown_placement_rejected():
 
 
 def test_adversarial_packing_is_unwound():
-    result = run_fleet_scenario(**SMALL)
+    result = run_fleet(**SMALL)
     mig = result.migration
     assert mig["started"] >= 1
     assert mig["completed"] >= 1
@@ -108,8 +113,8 @@ def test_adversarial_packing_is_unwound():
 
 
 def test_migration_decisions_fold_into_routing_digest():
-    with_migration = run_fleet_scenario(**SMALL)
-    without = run_fleet_scenario(**{**SMALL, "rebalance": False})
+    with_migration = run_fleet(**SMALL)
+    without = run_fleet(**{**SMALL, "rebalance": False})
     assert with_migration.routing["migrations"] > 0
     assert without.routing["migrations"] == 0
     assert with_migration.routing["digest"] != without.routing["digest"]
@@ -139,7 +144,7 @@ def test_destination_degrade_mid_rewarm_rolls_back():
     # re-warms for ~14 us; degrading the destination inside that window
     # must unwind the move back to the (still healthy) source.
     plan = FaultPlan((GpuDegrade(gpu=1, at_time=0.02001, slowdown=3.0),))
-    result = run_fleet_scenario(**{**SMALL, "plan": plan})
+    result = run_fleet(**{**SMALL, "plan": plan})
     mig = result.migration
     assert mig["rolled_back"] >= 1
     record = next(r for r in mig["records"] if r["outcome"] == "rolled-back")
@@ -149,7 +154,7 @@ def test_destination_degrade_mid_rewarm_rolls_back():
 
 def test_destination_crash_mid_rewarm_recovers_safely():
     plan = FaultPlan((GpuCrash(gpu=1, at_time=0.02001),))
-    result = run_fleet_scenario(**{**SMALL, "plan": plan})
+    result = run_fleet(**{**SMALL, "plan": plan})
     mig = result.migration
     # The destination died mid-move: the move must not complete onto
     # it, and no job may be lost or duplicated in the confusion.
@@ -163,7 +168,7 @@ def test_source_crash_rehomes_tenants():
     # No rebalancing: crash the only home of the packed tenants and
     # check the fleet re-homes them instead of starving their backlog.
     plan = FaultPlan((GpuCrash(gpu=0, at_time=0.03),))
-    result = run_fleet_scenario(**{**SMALL, "plan": plan,
+    result = run_fleet(**{**SMALL, "plan": plan,
                                    "rebalance": False})
     assert result.report["failover"]["re_homed"] >= 1
     # Tenants keep getting served after the crash (on the new home).
@@ -182,7 +187,7 @@ def test_cooldown_and_max_inflight_bound_migrations():
     # each tenant moves at most once per cooldown window.
     params = {**SMALL, "duration": 0.2, "rebalance_interval": 0.005,
               "migration_cooldown": 1.0, "max_inflight_migrations": 1}
-    result = run_fleet_scenario(**params)
+    result = run_fleet(**params)
     mig = result.migration
     per_tenant = {}
     for record in mig["records"]:
@@ -194,7 +199,7 @@ def test_cooldown_and_max_inflight_bound_migrations():
 
 
 def test_min_gain_threshold_suppresses_marginal_moves():
-    result = run_fleet_scenario(**{**SMALL, "migration_min_gain": 1e9})
+    result = run_fleet(**{**SMALL, "migration_min_gain": 1e9})
     assert result.migration["started"] == 0
 
 
@@ -273,7 +278,7 @@ def test_assignment_validation():
 
 
 def test_single_home_boot_spawns_only_assigned_workers():
-    result = run_fleet_scenario(seed=0, duration=0.02, num_gpus=2,
+    result = run_fleet(seed=0, duration=0.02, num_gpus=2,
                                 be_tenants=1, plan=NO_FAULTS,
                                 placement="adversarial")
     # Adversarial packing puts both tenants on gpu0; gpu1 serves nothing.

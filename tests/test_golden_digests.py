@@ -3,9 +3,12 @@
 Each catalog entry runs at its shortest valid horizon (just past its
 warm-up window) at two seeds, and the sha256 of
 ``ScenarioResult.to_json()`` must match the value pinned in
-``golden_digests.json``.  One traced ``repro trace overload`` run pins
-the Chrome trace, metrics snapshot and attribution report as well, so
-the telemetry-on path is covered too.  A change that is meant to be
+``golden_digests.json``.  Every non-Orion backend each kind accepts is
+pinned too, at seed 0, so the wiring of every (kind, backend) cell is
+covered.  Two traced runs pin the Chrome trace, metrics snapshot and
+attribution report as well: ``repro trace overload`` covers the
+telemetry-on path, and ``repro trace inf-train --backend ideal`` the
+per-client devices of the ideal backend.  A change that is meant to be
 behaviour-preserving (a refactor, a speed-up) must leave every digest
 matching; a semantic drift in the scheduler fails here.
 
@@ -48,8 +51,21 @@ HORIZON = {
     "llm_ref": 0.06,
     "fleet_rebalance": 0.11,
 }
+#: Non-Orion (catalog name, backend, overrides) cells, run at seed 0.
+BACKEND_CELLS = (
+    *(("inf-train", backend, {}) for backend in
+      ("ideal", "temporal", "streams", "priority-streams", "mps", "reef")),
+    ("train-train", "ticktock", {}),
+    *(("faults", backend, {}) for backend in
+      ("reef", "streams", "priority-streams")),
+    *(("fleet", backend, {"num_gpus": 2}) for backend in
+      ("reef", "streams", "priority-streams")),
+    *(("llm", backend, {}) for backend in
+      ("temporal", "streams", "priority-streams")),
+)
 TRACE_ARGS = ("trace", "overload", "--duration", "0.05", "--seed", "0")
-TRACE_KEY = "repro " + " ".join(TRACE_ARGS)
+IDEAL_TRACE_ARGS = ("trace", "inf-train", "--backend", "ideal",
+                    "--duration", "0.1", "--seed", "0")
 
 
 def _sha(data: str) -> str:
@@ -65,12 +81,27 @@ def scenario_digest(name: str, seed: int) -> str:
                                   duration=HORIZON[name])).to_json())
 
 
-def trace_digests() -> dict:
-    """sha256 of each file ``repro trace overload`` writes."""
+def _backend_key(name: str, backend: str, overrides: dict) -> str:
+    extra = "".join(f" {k}={v}" for k, v in sorted(overrides.items()))
+    return (f"{name} backend={backend}{extra} seed=0 "
+            f"duration={HORIZON[name]:g}")
+
+
+def backend_digest(name: str, backend: str, overrides: dict) -> str:
+    return _sha(run(make_scenario(name, seed=0, duration=HORIZON[name],
+                                  backend=backend, **overrides)).to_json())
+
+
+def _trace_key(args) -> str:
+    return "repro " + " ".join(args)
+
+
+def trace_digests(args) -> dict:
+    """sha256 of each file one ``repro trace`` run writes."""
     with tempfile.TemporaryDirectory() as tmp:
         out = {kind: str(Path(tmp) / f"{kind}.json")
                for kind in ("trace", "metrics", "attribution")}
-        cli_main([*TRACE_ARGS, "--out", out["trace"],
+        cli_main([*args, "--out", out["trace"],
                   "--metrics-out", out["metrics"],
                   "--attribution-out", out["attribution"]])
         return {kind: _sha(Path(path).read_text())
@@ -94,16 +125,41 @@ def test_scenario_digest_matches_pin(name, seed):
         _pinned()["scenarios"][_cell_key(name, seed)]
 
 
+def test_every_backend_cell_is_pinned():
+    expected = {_backend_key(*cell) for cell in BACKEND_CELLS}
+    assert len(expected) == len(BACKEND_CELLS)
+    assert set(_pinned()["backends"]) == expected
+
+
+@pytest.mark.parametrize("name,backend,overrides", BACKEND_CELLS,
+                         ids=[_backend_key(*cell) for cell in BACKEND_CELLS])
+def test_backend_digest_matches_pin(name, backend, overrides):
+    assert backend_digest(name, backend, overrides) == \
+        _pinned()["backends"][_backend_key(name, backend, overrides)]
+
+
 def test_traced_overload_digests_match_pin(capsys):
-    assert trace_digests() == _pinned()["trace"][TRACE_KEY]
+    assert trace_digests(TRACE_ARGS) == \
+        _pinned()["trace"][_trace_key(TRACE_ARGS)]
+
+
+def test_traced_ideal_digests_match_pin(capsys):
+    assert trace_digests(IDEAL_TRACE_ARGS) == \
+        _pinned()["trace"][_trace_key(IDEAL_TRACE_ARGS)]
 
 
 def _pin() -> None:
     scenarios = {_cell_key(name, seed): scenario_digest(name, seed)
                  for name in sorted(HORIZON) for seed in SEEDS}
-    payload = {"scenarios": scenarios, "trace": {TRACE_KEY: trace_digests()}}
+    backends = {_backend_key(*cell): backend_digest(*cell)
+                for cell in BACKEND_CELLS}
+    traces = {_trace_key(args): trace_digests(args)
+              for args in (TRACE_ARGS, IDEAL_TRACE_ARGS)}
+    payload = {"scenarios": scenarios, "backends": backends,
+               "trace": traces}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"pinned {len(scenarios)} scenario digests + trace to {GOLDEN}")
+    print(f"pinned {len(scenarios)} scenario digests, {len(backends)} "
+          f"backend cells + {len(traces)} traces to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -215,17 +215,6 @@ def test_blocked_client_rejected_if_closed_while_waiting():
     assert record["second"].error.code is CudaErrorCode.CONTEXT_POISONED
 
 
-def test_set_overload_policy_per_client():
-    sim = Simulator()
-    config = OrionConfig(hp_request_latency=10e-3, be_queue_depth=1)
-    backend, _device, _hp, _be = setup_backend(sim, config)
-    assert backend._be_state("be").policy == "block"
-    backend.set_overload_policy("be", "reject")
-    assert backend._be_state("be").policy == "reject"
-    with pytest.raises(ValueError):
-        backend.set_overload_policy("be", "panic")
-
-
 def test_overload_config_validation():
     with pytest.raises(ValueError):
         OrionConfig(be_queue_depth=0)

@@ -1,6 +1,6 @@
 """The unified Scenario API: dataclass validation, run(), canonical
-results, deprecation shims, the named-scenario catalog, and
-construction-time BackendOptions."""
+results, the named-scenario catalog, and construction-time
+BackendOptions."""
 
 import json
 
@@ -104,48 +104,6 @@ class TestRun:
         assert decoded["events_processed"] == res.events_processed
 
 
-class TestDeprecationShims:
-    """The legacy entry points warn and return the new API's results."""
-
-    def test_run_overload_scenario_shim(self):
-        from repro.experiments.overload import run_overload_scenario
-
-        with pytest.warns(FutureWarning, match="run_overload_scenario"):
-            legacy = run_overload_scenario(seed=4, duration=0.05)
-        new = run(Scenario(kind="overload",
-                           params={"seed": 4, "duration": 0.05})).result
-        assert [(r.arrival, r.start, r.end)
-                for r in legacy.jobs["hp"].records] == \
-               [(r.arrival, r.start, r.end) for r in new.jobs["hp"].records]
-        assert legacy.backend_stats == new.backend_stats
-        assert legacy.events_processed == new.events_processed
-
-    def test_run_fault_scenario_shim(self):
-        from repro.faults import run_fault_scenario
-
-        with pytest.warns(FutureWarning, match="run_fault_scenario"):
-            legacy = run_fault_scenario(seed=2, duration=0.1)
-        new = run(Scenario(kind="faults",
-                           params={"seed": 2, "duration": 0.1})).result
-        assert legacy.ledger.to_json() == new.ledger.to_json()
-        assert legacy.backend_stats == new.backend_stats
-
-    def test_run_experiment_shim(self):
-        from repro.experiments.runner import run_experiment
-
-        config = inf_train_config("resnet50", "mobilenet_v2", "orion",
-                                  duration=0.55)
-        with pytest.warns(FutureWarning, match="run_experiment"):
-            legacy = run_experiment(config)
-        new = run(Scenario(kind="experiment", experiment=config)).result
-        for name in legacy.jobs:
-            assert [(r.arrival, r.start, r.end)
-                    for r in legacy.jobs[name].stats.records] == \
-                   [(r.arrival, r.start, r.end)
-                    for r in new.jobs[name].stats.records]
-        assert legacy.events_processed == new.events_processed
-
-
 class TestScenarioCatalog:
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -191,7 +149,7 @@ class TestFaultPlanValidation:
 
 
 class TestBackendOptions:
-    """Telemetry/overload hooks consolidated at construction time."""
+    """Telemetry wiring at construction time."""
 
     def _backend(self, options=None):
         sim = Simulator()
@@ -210,19 +168,7 @@ class TestBackendOptions:
         sim = Simulator()
         tracer = Tracer(sim, capacity=64)
         metrics = MetricsRegistry()
-        options = BackendOptions(tracer=tracer, metrics=metrics,
-                                 overload_policies={"be-0": "reject"})
+        options = BackendOptions(tracer=tracer, metrics=metrics)
         _sim, backend = self._backend(options)
         assert backend.tracer is tracer
         assert backend.metrics is metrics
-        backend.register_client("be-0", high_priority=False, kind="inference")
-        backend.register_client("be-1", high_priority=False, kind="inference")
-        assert backend._be["be-0"].policy == "reject"
-        # Unlisted clients keep the config-wide policy.
-        assert backend._be["be-1"].policy == backend.config.overload_policy
-
-    def test_backcompat_setters_still_work(self):
-        sim, backend = self._backend()
-        tracer = Tracer(sim, capacity=64)
-        backend.set_telemetry(tracer=tracer)
-        assert backend.tracer is tracer

@@ -10,7 +10,7 @@ from repro.runtime.host import HostThread
 from repro.sim.engine import Simulator
 from repro.workloads.arrivals import ClosedLoop, UniformArrivals
 from repro.workloads.clients import InferenceClient, TrainingClient
-from repro.workloads.models import get_plan
+from repro.workloads.registry import build_plan
 
 
 def setup(sim):
@@ -22,7 +22,7 @@ def test_inference_client_serves_uniform_arrivals():
     sim = Simulator()
     backend = setup(sim)
     ctx = ClientContext(backend, "inf", HostThread(sim), high_priority=True)
-    plan = get_plan("mobilenet_v2", "inference")
+    plan = build_plan("mobilenet_v2", "inference")
     client = InferenceClient(sim, ctx, plan, V100_16GB,
                              UniformArrivals(50.0), "inf", horizon=0.5)
     client.start()
@@ -38,7 +38,7 @@ def test_inference_latency_includes_queueing():
     sim = Simulator()
     backend = setup(sim)
     ctx = ClientContext(backend, "inf", HostThread(sim), high_priority=True)
-    plan = get_plan("resnet50", "inference")  # ~5.4 ms service
+    plan = build_plan("resnet50", "inference")  # ~5.4 ms service
     # 400 rps >> capacity: queue builds, latency >> service time.
     client = InferenceClient(sim, ctx, plan, V100_16GB,
                              UniformArrivals(400.0), "inf", horizon=0.3)
@@ -53,7 +53,7 @@ def test_closed_loop_inference_client():
     sim = Simulator()
     backend = setup(sim)
     ctx = ClientContext(backend, "inf", HostThread(sim))
-    plan = get_plan("mobilenet_v2", "inference")
+    plan = build_plan("mobilenet_v2", "inference")
     client = InferenceClient(sim, ctx, plan, V100_16GB, ClosedLoop(),
                              "inf", horizon=0.2)
     client.start()
@@ -68,7 +68,7 @@ def test_training_client_iterates():
     sim = Simulator()
     backend = setup(sim)
     ctx = ClientContext(backend, "train", HostThread(sim), kind="training")
-    plan = get_plan("mobilenet_v2", "training")
+    plan = build_plan("mobilenet_v2", "training")
     client = TrainingClient(sim, ctx, plan, V100_16GB, "train", horizon=0.5)
     client.start()
     sim.run(until=0.6)
@@ -84,7 +84,7 @@ def test_training_client_rejects_inference_plan():
     backend = setup(sim)
     ctx = ClientContext(backend, "t", HostThread(sim), kind="training")
     with pytest.raises(ValueError):
-        TrainingClient(sim, ctx, get_plan("resnet50", "inference"),
+        TrainingClient(sim, ctx, build_plan("resnet50", "inference"),
                        V100_16GB, "t", horizon=1.0)
 
 
@@ -92,7 +92,7 @@ def test_client_allocates_model_state():
     sim = Simulator()
     backend = setup(sim)
     ctx = ClientContext(backend, "train", HostThread(sim), kind="training")
-    plan = get_plan("mobilenet_v2", "training")
+    plan = build_plan("mobilenet_v2", "training")
     client = TrainingClient(sim, ctx, plan, V100_16GB, "train", horizon=0.05)
     client.start()
     sim.run(until=0.1)

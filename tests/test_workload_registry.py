@@ -11,9 +11,9 @@ from repro.experiments.params import (
     validate_params,
 )
 from repro.experiments.scenario import Scenario
-from repro.workloads.models import MODEL_NAMES
+from repro.frameworks.lowering import lower_inference
+from repro.workloads.models import MODEL_NAMES, resnet50
 from repro.workloads.models.llm import LLM_SMALL
-from repro.workloads.models.zoo import get_plan
 from repro.workloads.registry import (
     WORKLOADS,
     LlmWorkload,
@@ -50,7 +50,9 @@ class TestRegistry:
 
     def test_build_plan_matches_zoo(self):
         via_registry = build_plan("resnet50", "inference")
-        via_zoo = get_plan("resnet50", "inference")
+        # A fresh lowering of the zoo module at the Table 1 batch size.
+        via_zoo = lower_inference(resnet50(), (4, 3, 224, 224),
+                                  "resnet50-inf-b4")
         assert via_registry.kernel_count == via_zoo.kernel_count
         assert via_registry.state_bytes == via_zoo.state_bytes
 

@@ -15,9 +15,9 @@ from repro.workloads.models import (
     DEFAULT_BATCH_SIZES,
     MODEL_NAMES,
     batch_size_for,
-    get_plan,
 )
 from repro.workloads.rates import TABLE3_RPS, rps_for
+from repro.workloads.registry import build_plan
 
 
 # ----------------------------------------------------------------------
@@ -26,13 +26,13 @@ from repro.workloads.rates import TABLE3_RPS, rps_for
 def test_all_models_have_inference_and_training_plans():
     for model in MODEL_NAMES:
         for kind in ("inference", "training"):
-            plan = get_plan(model, kind)
+            plan = build_plan(model, kind)
             assert plan.kernel_count > 50
             assert plan.kind == kind
 
 
 def test_plans_are_cached():
-    assert get_plan("resnet50", "inference") is get_plan("resnet50", "inference")
+    assert build_plan("resnet50", "inference") is build_plan("resnet50", "inference")
 
 
 def test_table1_batch_sizes():
@@ -44,24 +44,24 @@ def test_table1_batch_sizes():
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(KeyError):
-        get_plan("alexnet", "inference")
+    with pytest.raises(ValueError, match="unknown workload"):
+        build_plan("alexnet", "inference")
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        get_plan("resnet50", "finetuning")
+        build_plan("resnet50", "finetuning")
 
 
 def test_resnet101_deeper_than_resnet50():
-    p50 = get_plan("resnet50", "inference")
-    p101 = get_plan("resnet101", "inference")
+    p50 = build_plan("resnet50", "inference")
+    p101 = build_plan("resnet101", "inference")
     assert p101.kernel_count > p50.kernel_count
 
 
 def test_custom_batch_size_scales_work():
-    small = get_plan("resnet50", "inference", batch_size=1)
-    large = get_plan("resnet50", "inference", batch_size=8)
+    small = build_plan("resnet50", "inference", batch_size=1)
+    large = build_plan("resnet50", "inference", batch_size=8)
     small_flops = sum(s.flops for s in small.kernel_specs())
     large_flops = sum(s.flops for s in large.kernel_specs())
     assert large_flops == pytest.approx(8 * small_flops, rel=0.05)
@@ -69,13 +69,13 @@ def test_custom_batch_size_scales_work():
 
 def test_kernel_names_unique_within_plan():
     for model in MODEL_NAMES:
-        names = [s.name for s in get_plan(model, "training").kernel_specs()]
+        names = [s.name for s in build_plan(model, "training").kernel_specs()]
         assert len(names) == len(set(names)), f"duplicate kernel ids in {model}"
 
 
 def test_training_plan_params_positive():
     for model in MODEL_NAMES:
-        assert get_plan(model, "training").params > 1e6
+        assert build_plan(model, "training").params > 1e6
 
 
 # ----------------------------------------------------------------------
