@@ -52,7 +52,7 @@ from repro.experiments.runner import get_profile
 from repro.experiments.testbed import GpuStack, Testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, GpuCrash, GpuDegrade, GpuRecover
-from repro.frameworks.lowering import instantiate_plan
+from repro.frameworks.lowering import bind_plan
 from repro.gpu.specs import DeviceSpec
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
@@ -302,6 +302,7 @@ class _TenantWorker:
                 return
             self.warm = True
             self._notify_warm()
+            bound = self.fleet.bound_plans[self.spec.model]
             while True:
                 while not self.pending:
                     self._work = Signal(self.sim)
@@ -312,8 +313,7 @@ class _TenantWorker:
                 self.current = job
                 yield from self.ctx.begin_request()
                 start = self.sim.now
-                ops = instantiate_plan(self.plan, self.fleet.testbed.device_spec,
-                                       client_id=self.ctx.client_id)
+                ops = bound.launch(self.ctx.client_id)
                 for op in ops:
                     if op.is_kernel:
                         yield from self.ctx.launch_kernel(op)
@@ -722,6 +722,10 @@ class Fleet:
 
         self.plans = {t.model: build_plan(t.model, "inference")
                       for t in self.tenants}
+        # Kernel costs bound once per model for the fleet's lifetime,
+        # shared by every worker serving that model.
+        self.bound_plans = {model: bind_plan(plan, device_spec)
+                            for model, plan in self.plans.items()}
         self.solo_latency: Dict[str, float] = {}
         self.signatures: Dict[str, JobSignature] = {}
         for t in self.tenants:

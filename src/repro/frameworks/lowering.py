@@ -3,9 +3,10 @@
 An :class:`OpPlan` is the ordered sequence of operations one request
 (inference) or one iteration (training) launches, each entry carrying a
 phase tag ("copy", "forward", "backward", "update", "output").  The
-plan is device-independent; :func:`instantiate_plan` binds it to a
-device, producing the concrete :class:`~repro.kernels.kernel.KernelOp`
-and :class:`~repro.kernels.kernel.MemoryOp` objects a client launches.
+plan is device-independent; :func:`bind_plan` binds it to a device
+once, and each :meth:`BoundPlan.launch` produces the concrete
+:class:`~repro.kernels.kernel.KernelOp` and
+:class:`~repro.kernels.kernel.MemoryOp` objects a client launches.
 
 Training plans append the optimizer update phase: one fused update
 kernel per ~4M parameters (Adam reads parameter/gradient/moments and
@@ -19,13 +20,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from repro.kernels.costmodel import instantiate_kernel
+from repro.kernels.costmodel import kernel_cost
 from repro.kernels.kernel import KernelOp, KernelSpec, MemoryOp, MemoryOpKind
 
 from .module import Module, Namer
 from .specbuild import FP32_BYTES, elementwise_spec
 
-__all__ = ["PlannedOp", "OpPlan", "lower_inference", "lower_training", "instantiate_plan"]
+__all__ = ["PlannedOp", "OpPlan", "BoundPlan", "lower_inference", "lower_training",
+           "bind_plan", "instantiate_plan"]
 
 # Parameters per fused optimizer-update kernel launch.
 UPDATE_CHUNK = 1_000_000
@@ -128,24 +130,40 @@ def lower_training(model: Module, input_shape, model_name: str) -> OpPlan:
                   _input_bytes(input_shape), state_bytes)
 
 
+class BoundPlan:
+    """A plan bound to one device: each kernel's costs computed once.
+
+    :meth:`launch` creates the fresh op objects of one request/iteration
+    (they carry per-launch identity).  An owner that runs the plan
+    repeatedly binds it once and keeps the binding for its own lifetime.
+    """
+
+    __slots__ = ("_ops", "_costs")
+
+    def __init__(self, plan: OpPlan, device):
+        self._ops = plan.ops
+        # One cost per kernel, None for a copy (parallel to ``plan.ops``).
+        self._costs = [None if planned.is_copy else kernel_cost(planned.spec, device)
+                       for planned in plan.ops]
+
+    def launch(self, client_id: Optional[str] = None,
+               async_copies: bool = False) -> List[Union[KernelOp, MemoryOp]]:
+        """Concrete ops for one request/iteration, in plan order."""
+        blocking = not async_copies
+        return [
+            MemoryOp(kind=planned.copy_kind, nbytes=planned.copy_bytes,
+                     client_id=client_id, blocking=blocking, tag=planned.phase)
+            if cost is None else cost.launch(client_id, planned.phase)
+            for planned, cost in zip(self._ops, self._costs)
+        ]
+
+
+def bind_plan(plan: OpPlan, device) -> BoundPlan:
+    """Bind ``plan`` to ``device`` once (see :class:`BoundPlan`)."""
+    return BoundPlan(plan, device)
+
+
 def instantiate_plan(plan: OpPlan, device, client_id: Optional[str] = None,
                      async_copies: bool = False) -> List[Union[KernelOp, MemoryOp]]:
-    """Bind a plan to a device: concrete ops ready to launch.
-
-    Each call creates fresh op objects (they carry per-launch identity),
-    so a client calls this once per request/iteration.
-    """
-    result: List[Union[KernelOp, MemoryOp]] = []
-    for planned in plan.ops:
-        if planned.is_copy:
-            result.append(
-                MemoryOp(kind=planned.copy_kind, nbytes=planned.copy_bytes,
-                         client_id=client_id, blocking=not async_copies,
-                         tag=planned.phase)
-            )
-        else:
-            result.append(
-                instantiate_kernel(planned.spec, device, client_id=client_id,
-                                   tag=planned.phase)
-            )
-    return result
+    """One-shot bind and launch: the ops of a single request/iteration."""
+    return bind_plan(plan, device).launch(client_id, async_copies)

@@ -48,11 +48,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.kernels.kernel import KernelOp
 
-__all__ = ["ContentionModel", "ContentionParams", "profile_similarity"]
+__all__ = ["ContentionModel", "ContentionParams", "DemandKey", "demand_key",
+           "profile_similarity"]
+
+#: ``(compute_util, memory_util, sm_needed, stream priority)`` of one
+#: resident kernel.
+DemandKey = Tuple[float, float, int, int]
 
 #: Resident sets each ContentionModel remembers the rates of; the memo
 #: is cleared when it fills (DESIGN.md §6.10).
@@ -82,27 +87,34 @@ class ContentionParams:
             raise ValueError("priority_weight_base must be >= 1")
 
 
+def demand_key(op: KernelOp, priority: int = 0) -> DemandKey:
+    """The contention model's only inputs for one resident kernel."""
+    return (op.compute_util, op.memory_util, op.sm_needed, priority)
+
+
+def _similarity(c_a: float, m_a: float, c_b: float, m_b: float) -> float:
+    norm_a = math.hypot(c_a, m_a)
+    norm_b = math.hypot(c_b, m_b)
+    if norm_a == 0 or norm_b == 0:
+        return 0.0
+    dot = c_a * c_b + m_a * m_b
+    return min(1.0, dot / (norm_a * norm_b))
+
+
 def profile_similarity(a: KernelOp, b: KernelOp) -> float:
     """Cosine similarity of two kernels' (compute, memory) demand vectors.
 
     1.0 for identical profiles (worst SM sharing), near 0 for fully
     opposite profiles (best SM sharing).
     """
-    norm_a = math.hypot(a.compute_util, a.memory_util)
-    norm_b = math.hypot(b.compute_util, b.memory_util)
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    dot = a.compute_util * b.compute_util + a.memory_util * b.memory_util
-    return min(1.0, dot / (norm_a * norm_b))
+    return _similarity(a.compute_util, a.memory_util,
+                       b.compute_util, b.memory_util)
 
 
-def _pair_similarity(cache: Dict[tuple, float], a: KernelOp, b: KernelOp) -> float:
-    """Memoized :func:`profile_similarity` (symmetric) for one rates() call."""
-    key = (a.seq, b.seq) if a.seq < b.seq else (b.seq, a.seq)
-    sim = cache.get(key)
-    if sim is None:
-        sim = cache[key] = profile_similarity(a, b)
-    return sim
+class _Resident(NamedTuple):
+    """A bare resident record for :meth:`ContentionModel.rates_by_seq`."""
+
+    key: DemandKey
 
 
 class ContentionModel:
@@ -113,35 +125,44 @@ class ContentionModel:
             raise ValueError("num_sms must be >= 1")
         self.num_sms = num_sms
         self.params = params
-        # Rates by position, keyed on the resident set's ordered
-        # (compute, memory, sms, priority) tuples: the only inputs of
-        # the model, so equal keys give bit-identical rates.
-        self._memo: Dict[Tuple, List[float]] = {}
+        # Rates by position, keyed on the resident set's ordered demand
+        # keys: the only inputs of the model, so equal keys give
+        # bit-identical rates.
+        self._memo: Dict[Tuple[DemandKey, ...], List[float]] = {}
 
-    def rates(
-        self, kernels: Sequence[KernelOp], priorities: Dict[int, int]
-    ) -> Dict[int, float]:
-        """Progress rate per kernel ``seq`` for the resident set.
+    def rates(self, resident: Iterable) -> List[float]:
+        """Progress rate of each resident record, by position.
 
-        ``priorities`` maps kernel ``seq`` to its stream priority
-        (larger = more important; 0 = default).  Results are memoized
-        per resident set (the device keeps revisiting the same few).
+        Each record carries ``key``, its :func:`demand_key` (stream
+        priority: larger = more important; 0 = default).  Results are
+        memoized per resident set (the device keeps revisiting the same
+        few); the returned list is the memo's own and must not be
+        mutated.
         """
-        if not kernels:
-            return {}
-        key = tuple([(k.compute_util, k.memory_util, k.sm_needed,
-                      priorities.get(k.seq, 0)) for k in kernels])
+        key = tuple([r.key for r in resident])
+        if not key:
+            return []
         memo = self._memo
         rates = memo.get(key)
         if rates is None:
             if len(memo) >= RATES_MEMO_SIZE:
                 memo.clear()
-            rates = memo[key] = self._compute_rates(kernels, priorities)
-        return {k.seq: rate for k, rate in zip(kernels, rates)}
+            rates = memo[key] = self._compute_rates(key)
+        return rates
 
-    def _compute_rates(self, kernels: Sequence[KernelOp],
-                       priorities: Dict[int, int]) -> List[float]:
-        """The model itself: one rate per kernel, in ``kernels`` order.
+    def rates_by_seq(self, kernels: Sequence[KernelOp],
+                     priorities: Dict[int, int]) -> Dict[int, float]:
+        """:meth:`rates` for bare kernels: rate per kernel ``seq``.
+
+        ``priorities`` maps kernel ``seq`` to its stream priority
+        (missing = 0).
+        """
+        resident = [_Resident(demand_key(k, priorities.get(k.seq, 0)))
+                    for k in kernels]
+        return {k.seq: rate for k, rate in zip(kernels, self.rates(resident))}
+
+    def _compute_rates(self, keys: Sequence[DemandKey]) -> List[float]:
+        """The model itself: one rate per demand key, in ``keys`` order.
 
         A co-runner ``j`` of priority ``p_j`` contributes its demand
         scaled by ``2 w_j / (w_k + w_j)`` with ``w = base**p``: equal
@@ -152,81 +173,82 @@ class ContentionModel:
         params = self.params
         alpha_c = params.alpha_compute
         alpha_m = params.alpha_memory
-        if len(kernels) == 1:
+        if len(keys) == 1:
             # Solo kernel: no co-runners, so the SM and residency terms
             # are identically 1.0 and the pair loops vanish.  The float
             # expressions are verbatim copies of the general path so the
             # result is bit-identical.
-            k = kernels[0]
-            dominant = max(k.compute_util, k.memory_util, 1e-12)
-            w_c = k.compute_util / dominant
-            w_m = k.memory_util / dominant
-            compute_term = (w_c * k.compute_util) ** alpha_c
-            memory_term = (w_m * k.memory_util) ** alpha_m
+            c, m = keys[0][0], keys[0][1]
+            dominant = max(c, m, 1e-12)
+            w_c = c / dominant
+            w_m = m / dominant
+            compute_term = (w_c * c) ** alpha_c
+            memory_term = (w_m * m) ** alpha_m
             slowdown = max(1.0, compute_term, memory_term)
             return [1.0 / slowdown]
         gamma = params.gamma_sm
         beta = params.beta_coresidency
         base = params.priority_weight_base
         num_sms = self.num_sms
-        sm_total = sum(k.sm_needed for k in kernels) / num_sms
+        n = len(keys)
+        sm_total = sum(key[2] for key in keys) / num_sms
         sm_excess = max(0.0, sm_total - 1.0)
         # Per-kernel priority weight (base**priority) computed once per
         # kernel instead of twice per ordered pair.
-        weights = [base ** priorities.get(k.seq, 0) for k in kernels]
-        # profile_similarity is symmetric and appears in both the SM and
-        # residency terms; memoize per unordered pair for this call.
-        sim_cache: Dict[tuple, float] = {}
+        weights = [base ** key[3] for key in keys]
+        # Profile similarity of every ordered pair (symmetric, used by
+        # both the SM and the residency term).
+        sims = [[_similarity(c_i, m_i, c_j, m_j) for c_j, m_j, _, _ in keys]
+                for c_i, m_i, _, _ in keys]
         result: List[float] = []
-        for i, k in enumerate(kernels):
+        for i, (c, m, _, _) in enumerate(keys):
             w_own = weights[i]
-            demand_c = k.compute_util
-            demand_m = k.memory_util
-            for idx, j in enumerate(kernels):
-                if j.seq == k.seq:
+            demand_c = c
+            demand_m = m
+            for j in range(n):
+                if j == i:
                     continue
-                w_other = weights[idx]
+                w_other = weights[j]
                 factor = 2.0 * w_other / (w_own + w_other)
-                demand_c += j.compute_util * factor
-                demand_m += j.memory_util * factor
-            dominant = max(k.compute_util, k.memory_util, 1e-12)
-            w_c = k.compute_util / dominant
-            w_m = k.memory_util / dominant
+                demand_c += keys[j][0] * factor
+                demand_m += keys[j][1] * factor
+            dominant = max(c, m, 1e-12)
+            w_c = c / dominant
+            w_m = m / dominant
             compute_term = (w_c * demand_c) ** alpha_c
             memory_term = (w_m * demand_m) ** alpha_m
             sm_term = 1.0
             if sm_excess > 0 and gamma > 0:
-                sm_weight = sum(j.sm_needed for j in kernels if j.seq != k.seq)
+                sm_weight = sum(keys[j][2] for j in range(n) if j != i)
                 if sm_weight > 0:
                     similarity = sum(
-                        _pair_similarity(sim_cache, k, j) * j.sm_needed
-                        for j in kernels
-                        if j.seq != k.seq
+                        sims[i][j] * keys[j][2]
+                        for j in range(n)
+                        if j != i
                     ) / sm_weight
                     sm_term = 1.0 + gamma * sm_excess * similarity
             residency_term = 1.0
             if beta > 0:
-                for j in kernels:
-                    if j.seq == k.seq:
+                for j in range(n):
+                    if j == i:
                         continue
-                    share = min(1.0, j.sm_needed / num_sms)
-                    residency_term *= 1.0 + (
-                        beta * _pair_similarity(sim_cache, k, j) * share
-                    )
+                    share = min(1.0, keys[j][2] / num_sms)
+                    residency_term *= 1.0 + (beta * sims[i][j] * share)
             slowdown = max(1.0, compute_term, memory_term, sm_term, residency_term)
             result.append(1.0 / slowdown)
         return result
 
     def device_utilization(
-        self, kernels: Sequence[KernelOp], rates: Dict[int, float]
+        self, kernels: Sequence[KernelOp], rates: Sequence[float]
     ) -> tuple[float, float, float]:
         """Instantaneous (compute, memory-bw, sm-busy) device utilization.
 
-        A kernel progressing at rate r consumes its solo resource
-        demands scaled by r (it retires FLOPs/bytes proportionally
-        slower under contention).
+        ``rates`` are the kernels' progress rates, by position.  A
+        kernel progressing at rate r consumes its solo resource demands
+        scaled by r (it retires FLOPs/bytes proportionally slower under
+        contention).
         """
-        compute = sum(k.compute_util * rates.get(k.seq, 1.0) for k in kernels)
-        memory = sum(k.memory_util * rates.get(k.seq, 1.0) for k in kernels)
+        compute = sum(k.compute_util * r for k, r in zip(kernels, rates))
+        memory = sum(k.memory_util * r for k, r in zip(kernels, rates))
         sm_busy = sum(k.sm_needed for k in kernels) / self.num_sms
         return min(1.0, compute), min(1.0, memory), min(1.0, sm_busy)

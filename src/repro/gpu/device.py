@@ -30,7 +30,7 @@ from repro.sim.engine import ScheduledEvent, Simulator
 from repro.sim.process import Signal
 from repro.telemetry.tracer import NULL_TRACER
 
-from .contention import ContentionModel, ContentionParams
+from .contention import ContentionModel, ContentionParams, demand_key
 from .errors import CudaError, CudaErrorCode
 from .memory import DeviceMemory, GpuOutOfMemoryError
 from .pcie import PcieEngine
@@ -71,15 +71,21 @@ class ArmedKernelFault:
 
 
 class RunningKernel:
-    """Book-keeping for one resident kernel."""
+    """Book-keeping for one resident kernel.
 
-    __slots__ = ("stream_op", "remaining", "rate", "admitted_at")
+    ``key`` is the kernel's contention-model input, built once at
+    admission (a stream's priority is fixed at creation).
+    """
+
+    __slots__ = ("stream_op", "remaining", "rate", "admitted_at", "key")
 
     def __init__(self, stream_op: StreamOp, admitted_at: float):
+        op = stream_op.op
         self.stream_op = stream_op
-        self.remaining = stream_op.op.duration
+        self.remaining = op.duration
         self.rate = 1.0
         self.admitted_at = admitted_at
+        self.key = demand_key(op, stream_op.stream.priority)
 
     @property
     def op(self) -> KernelOp:
@@ -336,9 +342,9 @@ class GpuDevice:
         for the elapsed interval using the rates that were in force."""
         segment_start = self._last_rate_update
         if self.record_utilization and self.sim.now > segment_start:
-            rates = {seq: r.rate for seq, r in self.running.items()}
-            ops = [r.op for r in self.running.values()]
-            compute, mem, sm = self.contention.device_utilization(ops, rates)
+            running = self.running.values()
+            compute, mem, sm = self.contention.device_utilization(
+                [r.op for r in running], [r.rate for r in running])
             self.utilization_segments.append(
                 (segment_start, self.sim.now, compute, mem, sm)
             )
@@ -361,15 +367,14 @@ class GpuDevice:
 
     def _recompute_rates(self) -> None:
         running = self.running.values()
-        ops = [r.op for r in running]
-        priorities = {r.op.seq: r.stream_op.stream.priority for r in running}
-        rates = self.contention.rates(ops, priorities)
+        rates = self.contention.rates(running)
         if self.slowdown != 1.0:
             inv = 1.0 / self.slowdown
-            for seq in rates:
-                rates[seq] *= inv
-        for seq, r in self.running.items():
-            r.rate = rates[seq]
+            for r, rate in zip(running, rates):
+                r.rate = rate * inv
+        else:
+            for r, rate in zip(running, rates):
+                r.rate = rate
         self._reschedule_completion()
 
     def _reschedule_completion(self) -> None:

@@ -5,6 +5,8 @@ a dynamic :class:`KernelOp` for a concrete device: solo duration,
 compute-throughput and memory-bandwidth utilization, SM footprint, and
 roofline class.  This plays the role the real hardware plays in the
 paper — it is where "ResNet50 on V100" becomes a concrete kernel trace.
+The costs are a pure function of ``(spec, device)``: :func:`kernel_cost`
+computes them once, and its ``launch`` builds each launch's op.
 
 The model is the classic roofline, with an occupancy factor:
 
@@ -36,7 +38,8 @@ from .launch import sm_needed
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.specs import DeviceSpec
 
-__all__ = ["instantiate_kernel", "solo_duration", "occupancy_factor"]
+__all__ = ["KernelCost", "kernel_cost", "instantiate_kernel", "solo_duration",
+           "occupancy_factor"]
 
 # A kernel reaches full compute throughput once its grid supplies about
 # one thread block per SM (each block carries enough ILP to keep the
@@ -61,6 +64,50 @@ def solo_duration(spec: KernelSpec, device: "DeviceSpec") -> float:
     return max(t_compute, t_memory, 0.0) + device.kernel_min_duration
 
 
+class KernelCost:
+    """The device-dependent costs of one spec, computed once.
+
+    Everything :func:`instantiate_kernel` derives from ``(spec, device)``
+    — solo duration, utilizations, SM footprint, roofline class — is a
+    pure function of the pair, so an owner that launches the same spec
+    repeatedly binds it once and calls :meth:`launch` per launch.
+    """
+
+    __slots__ = ("spec", "duration", "compute_util", "memory_util",
+                 "sm_needed", "profile")
+
+    def __init__(self, spec: KernelSpec, device: "DeviceSpec"):
+        duration = solo_duration(spec, device)
+        self.spec = spec
+        self.duration = duration
+        self.compute_util = min(1.0, spec.flops / duration / device.peak_flops)
+        self.memory_util = min(1.0, spec.bytes_moved / duration / device.memory_bandwidth)
+        self.sm_needed = min(device.num_sms, sm_needed(spec.launch, device.sm_limits))
+        self.profile = classify_kernel(
+            self.compute_util,
+            self.memory_util,
+            roofline_available=duration >= device.roofline_min_duration,
+        )
+
+    def launch(self, client_id: Optional[str] = None, tag: str = "") -> KernelOp:
+        """A fresh launch (new ``seq``; validated by ``KernelOp``)."""
+        return KernelOp(
+            spec=self.spec,
+            duration=self.duration,
+            compute_util=self.compute_util,
+            memory_util=self.memory_util,
+            sm_needed=self.sm_needed,
+            profile=self.profile,
+            client_id=client_id,
+            tag=tag,
+        )
+
+
+def kernel_cost(spec: KernelSpec, device: "DeviceSpec") -> KernelCost:
+    """Bind ``spec`` to ``device`` (see :class:`KernelCost`)."""
+    return KernelCost(spec, device)
+
+
 def instantiate_kernel(
     spec: KernelSpec,
     device: "DeviceSpec",
@@ -68,22 +115,4 @@ def instantiate_kernel(
     tag: str = "",
 ) -> KernelOp:
     """Materialize one launch of ``spec`` on ``device``."""
-    duration = solo_duration(spec, device)
-    compute_util = min(1.0, spec.flops / duration / device.peak_flops)
-    memory_util = min(1.0, spec.bytes_moved / duration / device.memory_bandwidth)
-    sms = min(device.num_sms, sm_needed(spec.launch, device.sm_limits))
-    profile = classify_kernel(
-        compute_util,
-        memory_util,
-        roofline_available=duration >= device.roofline_min_duration,
-    )
-    return KernelOp(
-        spec=spec,
-        duration=duration,
-        compute_util=compute_util,
-        memory_util=memory_util,
-        sm_needed=sms,
-        profile=profile,
-        client_id=client_id,
-        tag=tag,
-    )
+    return kernel_cost(spec, device).launch(client_id, tag)

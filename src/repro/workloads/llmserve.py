@@ -44,7 +44,7 @@ import numpy as np
 from repro.frameworks.module import Namer
 from repro.frameworks.specbuild import FP32_BYTES
 from repro.gpu.errors import CudaErrorCode
-from repro.kernels.costmodel import instantiate_kernel
+from repro.kernels.costmodel import KernelCost, kernel_cost, solo_duration
 from repro.kernels.kernel import KernelOp, MemoryOpKind
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary
@@ -261,10 +261,10 @@ class ContinuousBatchingEngine:
         self.prefill_tokens = 0
         self.requests_completed = 0
         self.requests_failed = 0
-        # Kernel-spec caches (per shape bucket, like a real deployment's
-        # one-time per-shape profiles).
-        self._decode_specs: Dict = {}
-        self._prefill_spec_cache: Dict[int, list] = {}
+        # Bound kernel costs per shape bucket, like a real deployment's
+        # one-time per-shape profiles; they live as long as the engine.
+        self._decode_costs: Dict[tuple, List[KernelCost]] = {}
+        self._prefill_costs: Dict[int, List[KernelCost]] = {}
         self._work = Signal(sim)
         self._process = None
         self._errors_seen = 0
@@ -455,26 +455,27 @@ class ContinuousBatchingEngine:
             self._pending_prefill.append(_Sequence(record))
 
     def _prefill_kernels(self, prompt_bucket: int) -> List[KernelOp]:
-        specs = self._prefill_spec_cache.get(prompt_bucket)
-        if specs is None:
+        costs = self._prefill_costs.get(prompt_bucket)
+        if costs is None:
             namer = Namer(f"{self.config.name}-serve/prefill{prompt_bucket}")
-            specs = _prefill_specs(self.config, 1, prompt_bucket, namer)
-            self._prefill_spec_cache[prompt_bucket] = specs
-        return [instantiate_kernel(spec, self.device_spec,
-                                   self.ctx.client_id, tag="prefill")
-                for spec in specs]
+            costs = self._prefill_costs[prompt_bucket] = [
+                kernel_cost(spec, self.device_spec)
+                for spec in _prefill_specs(self.config, 1, prompt_bucket, namer)]
+        client_id = self.ctx.client_id
+        return [cost.launch(client_id, "prefill") for cost in costs]
 
     def _decode_kernels(self, batch: int, cache_bucket: int) -> List[KernelOp]:
         key = (batch, cache_bucket)
-        specs = self._decode_specs.get(key)
-        if specs is None:
+        costs = self._decode_costs.get(key)
+        if costs is None:
             namer = Namer(
                 f"{self.config.name}-serve/b{batch}/cache{cache_bucket}")
-            specs = _decode_step_specs(self.config, batch, cache_bucket, namer)
-            self._decode_specs[key] = specs
-        return [instantiate_kernel(spec, self.device_spec,
-                                   self.ctx.client_id, tag="decode")
-                for spec in specs]
+            costs = self._decode_costs[key] = [
+                kernel_cost(spec, self.device_spec)
+                for spec in _decode_step_specs(self.config, batch,
+                                               cache_bucket, namer)]
+        client_id = self.ctx.client_id
+        return [cost.launch(client_id, "decode") for cost in costs]
 
     def _prefill_step(self):
         """Run prefill for every newly joined request (one per request —
@@ -655,11 +656,11 @@ def _run_llm_scenario(
     # admissible* prompt (cap bucket): TTFT includes queueing, so the
     # bound must cover a worst-case prompt arriving behind a step.
     prefill_ref = sum(
-        instantiate_kernel(s, device_spec).duration
+        solo_duration(s, device_spec)
         for s in _prefill_specs(config, 1, _bucket(prompt_cap),
                                 Namer(f"{config.name}-ref/prefill")))
     decode_ref = sum(
-        instantiate_kernel(s, device_spec).duration
+        solo_duration(s, device_spec)
         for s in _decode_step_specs(config, 1, _bucket(int(prompt_mean)),
                                     Namer(f"{config.name}-ref/decode")))
     ttft_slo = ttft_slo_mult * prefill_ref

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import contention
-from repro.gpu.contention import ContentionModel, ContentionParams, profile_similarity
+from repro.gpu.contention import (
+    ContentionModel,
+    ContentionParams,
+    demand_key,
+    profile_similarity,
+)
 from repro.gpu.specs import V100_16GB
 from repro.kernels.kernel import KernelOp, ResourceProfile
 
@@ -20,7 +25,7 @@ def model(**kwargs):
 
 def rates_of(kernels, priorities=None):
     priorities = priorities or {}
-    return model().rates(kernels, priorities)
+    return model().rates_by_seq(kernels, priorities)
 
 
 def test_empty_set_has_no_rates():
@@ -111,15 +116,14 @@ def test_profile_similarity_symmetric():
 
 def test_device_utilization_caps_at_one():
     kernels = [make_kernel(compute_spec(f"k{i}")) for i in range(5)]
-    rates = {k.seq: 1.0 for k in kernels}
-    c, m, s = model().device_utilization(kernels, rates)
+    c, m, s = model().device_utilization(kernels, [1.0] * len(kernels))
     assert c <= 1.0 and m <= 1.0 and s <= 1.0
 
 
 def test_device_utilization_scales_with_rate():
     k = make_kernel(compute_spec())
-    full, _, _ = model().device_utilization([k], {k.seq: 1.0})
-    half, _, _ = model().device_utilization([k], {k.seq: 0.5})
+    full, _, _ = model().device_utilization([k], [1.0])
+    half, _, _ = model().device_utilization([k], [0.5])
     assert half == pytest.approx(full / 2)
 
 
@@ -141,8 +145,8 @@ def test_beta_zero_disables_residency_penalty():
     params_on = ContentionParams(beta_coresidency=0.3)
     a = make_kernel(memory_spec("a", util=0.3, blocks=32))
     b = make_kernel(memory_spec("b", util=0.3, blocks=32))
-    off = ContentionModel(80, params_off).rates([a, b], {})[a.seq]
-    on = ContentionModel(80, params_on).rates([a, b], {})[a.seq]
+    off = ContentionModel(80, params_off).rates_by_seq([a, b], {})[a.seq]
+    on = ContentionModel(80, params_on).rates_by_seq([a, b], {})[a.seq]
     assert on < off
 
 
@@ -177,8 +181,9 @@ def test_memoized_rates_match_unmemoized_bit_for_bit(palette, resident_sets,
                                 profile=ResourceProfile.UNKNOWN)
                        for i, (c, m, sm) in enumerate(demands)]
             priorities = {k.seq: p for k, (_, p) in zip(kernels, members)}
-            expected = model()._compute_rates(kernels, priorities)
-            got = memoized.rates(kernels, priorities)
+            expected = model()._compute_rates(
+                [demand_key(k, priorities[k.seq]) for k in kernels])
+            got = memoized.rates_by_seq(kernels, priorities)
             assert [got[k.seq].hex() for k in kernels] == \
                 [rate.hex() for rate in expected]
             assert len(memoized._memo) <= memo_size

@@ -113,7 +113,7 @@ def test_classification_total(cu, mu, roofline):
 @given(kernel_ops())
 def test_rates_are_valid_probabilities(ops):
     model = ContentionModel(V100_16GB.num_sms)
-    rates = model.rates(ops, {})
+    rates = model.rates_by_seq(ops, {})
     assert set(rates) == {op.seq for op in ops}
     for rate in rates.values():
         assert 0 < rate <= 1.0
@@ -123,7 +123,7 @@ def test_rates_are_valid_probabilities(ops):
 @given(kernel_ops(max_n=1))
 def test_solo_rate_is_one(ops):
     model = ContentionModel(V100_16GB.num_sms)
-    assert model.rates(ops, {})[ops[0].seq] == 1.0
+    assert model.rates_by_seq(ops, {})[ops[0].seq] == 1.0
 
 
 @settings(max_examples=50)
@@ -131,9 +131,9 @@ def test_solo_rate_is_one(ops):
 def test_adding_corunner_never_speeds_up(ops):
     model = ContentionModel(V100_16GB.num_sms)
     first = ops[0]
-    rate_with_fewer = model.rates(ops[:-1], {})[first.seq] if len(ops) > 1 \
+    rate_with_fewer = model.rates_by_seq(ops[:-1], {})[first.seq] if len(ops) > 1 \
         else 1.0
-    rate_with_more = model.rates(ops, {})[first.seq]
+    rate_with_more = model.rates_by_seq(ops, {})[first.seq]
     assert rate_with_more <= rate_with_fewer + 1e-9
 
 
@@ -151,8 +151,8 @@ def test_similarity_symmetric_and_bounded(ops):
 @given(kernel_ops(max_n=4))
 def test_device_utilization_bounded(ops):
     model = ContentionModel(V100_16GB.num_sms)
-    rates = model.rates(ops, {})
-    c, m, s = model.device_utilization(ops, rates)
+    rates = model.rates_by_seq(ops, {})
+    c, m, s = model.device_utilization(ops, [rates[op.seq] for op in ops])
     assert 0 <= c <= 1 and 0 <= m <= 1 and 0 <= s <= 1
 
 
