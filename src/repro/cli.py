@@ -16,7 +16,9 @@
     python -m repro cancel     job-0001
 
 Every run subcommand builds a :class:`repro.experiments.scenario.Scenario`
-and executes it through the one ``run(scenario)`` entry point.  Prints
+and executes it through the one ``run(scenario)`` entry point; the
+``faults``/``fleet``/``overload``/``llm`` flags are generated from the
+kind's params dataclass (:mod:`repro.experiments.params`).  Prints
 the per-job latency/throughput summary as a table; ``--json`` emits
 machine-readable results instead.
 """
@@ -24,24 +26,18 @@ machine-readable results instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 from repro.experiments.registry import (
     inf_inf_config,
     inf_train_config,
+    make_scenario,
     train_train_config,
 )
-from repro.experiments.params import (
-    EXPERIMENT_BACKENDS,
-    FAULTS_BACKENDS,
-    FLEET_BACKENDS,
-    LLM_BACKENDS,
-    FaultsParams,
-    FleetParams,
-    LlmParams,
-    OverloadParams,
-)
+from repro.experiments.params import EXPERIMENT_BACKENDS, PARAM_TYPES
 from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run as run_scenario
 from repro.experiments.tables import format_table
@@ -49,6 +45,73 @@ from repro.gpu.specs import DEVICES, get_device
 from repro.workloads.models import MODEL_NAMES
 
 __all__ = ["main", "build_parser"]
+
+
+#: Choices the params module leaves open so it needs no model zoo or
+#: device table; llm's ``model`` names an LLM workload, not a zoo model.
+_CATALOG_CHOICES = {"model": MODEL_NAMES, "be_model": MODEL_NAMES,
+                    "device": sorted(DEVICES)}
+
+
+def _zero_is_none(scalar):
+    """argparse type for an Optional numeric knob: ``0`` means None
+    (every such knob must be positive when set, so 0 is otherwise
+    unused)."""
+    def parse(text):
+        return scalar(text) or None
+
+    parse.__name__ = scalar.__name__  # argparse's "invalid int value"
+    return parse
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, kind: str) -> None:
+    """One ``--kebab-name`` flag per scalar field of ``PARAM_TYPES[kind]``.
+
+    Type, default, choices and help come from the dataclass field.
+    Object knobs (``plan``, ``tenants``, ``telemetry``) get no flag;
+    fleet's ``placement`` (a name or, in code, a mapping) gets its
+    named choices.
+    """
+    cls = PARAM_TYPES[kind]
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        scalar, optional = hints[f.name], False
+        if typing.get_origin(scalar) is typing.Union:
+            (scalar,) = [t for t in typing.get_args(scalar)
+                         if t is not type(None)]
+            optional = True
+        choices = f.metadata["choices"]
+        if choices is None and (kind, f.name) != ("llm", "model"):
+            choices = _CATALOG_CHOICES.get(f.name)
+        if scalar not in (int, float, str, bool):
+            if choices is None:
+                continue
+            scalar = str
+        if scalar is bool:
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {"type": _zero_is_none(scalar) if optional else scalar,
+                      "choices": choices}
+        action = parser.add_argument("--" + f.name.replace("_", "-"),
+                                     default=f.default,
+                                     help=f.metadata["help"], **kwargs)
+        if "%(default)" not in action.help:  # 3.10 adds it for bools
+            note = "0 for None; " if optional else ""
+            action.help += f" ({note}default: %(default)s)"
+
+
+def _knob_scenario(args, kind: str, **objects) -> Scenario:
+    """``kind``'s scenario from its generated flags (plus any object
+    knobs), built through ``make_scenario`` like ``submit`` and the
+    sweep; only knobs that differ from the dataclass default become
+    overrides, so no flags at all gives ``make_scenario(kind)``."""
+    cls = PARAM_TYPES[kind]
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+              if hasattr(args, f.name)}
+    overrides = cls(**values, **objects).to_params()
+    return make_scenario(kind, seed=overrides.pop("seed", 0),
+                         duration=overrides.pop("duration", None),
+                         **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,74 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults",
                        help="fault-injection demo: kill clients mid-run, "
                             "print the error/availability ledger")
-    p.add_argument("--backend", default="orion", choices=FAULTS_BACKENDS,
-                   help="sharing technique")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds (default 0.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--kill", default="be-0",
-                   help="client to kill (hp, be-0, be-1, ...); "
-                        "'none' disables the kill")
+    _add_knob_flags(p, "faults")
+    p.add_argument("--kill", default=None,
+                   help="client to kill (hp, be-0, be-1, ...); 'none' "
+                        "disables the kill (default: the scenario's plan, "
+                        "which kills be-0 at 40%% of the horizon)")
     p.add_argument("--kill-at", type=float, default=None,
-                   help="kill time in simulated seconds "
+                   help="kill time of --kill in simulated seconds "
                         "(default: 40%% of the horizon)")
-    p.add_argument("--be-clients", type=int, default=2,
-                   help="number of best-effort training clients")
-    p.add_argument("--watchdog", type=float, default=None, metavar="MULTIPLE",
-                   help="flag BE kernels overdue by MULTIPLE x their "
-                        "profiled duration (orion only)")
     p.add_argument("--json", action="store_true",
                    help="emit the canonical ledger JSON instead of a table")
 
     p = sub.add_parser("fleet",
                        help="multi-GPU resilience demo: crash/degrade GPUs "
                             "mid-run, print the availability report")
-    p.add_argument("--num-gpus", type=int, default=8,
-                   help="GPUs in the fleet (default 8)")
-    p.add_argument("--backend", default="orion", choices=FLEET_BACKENDS,
-                   help="per-GPU sharing technique")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.15,
-                   help="simulated seconds (default 0.15)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--crashes", type=int, default=1,
-                   help="GPUs to crash mid-run (default 1)")
-    p.add_argument("--degrades", type=int, default=1,
-                   help="GPUs to degrade mid-run (default 1)")
-    p.add_argument("--slowdown", type=float, default=3.0,
-                   help="degradation slowdown factor (default 3.0)")
-    p.add_argument("--recover-after", type=float, default=None,
-                   help="recover each victim this many seconds after its "
-                        "fault (default: never)")
-    p.add_argument("--be-tenants", type=int, default=2,
-                   help="best-effort tenants sharing the fleet (default 2)")
-    p.add_argument("--hp-load", type=float, default=0.25,
-                   help="high-priority offered load as a fraction of the "
-                        "fleet's aggregate solo capacity (default 0.25)")
-    p.add_argument("--be-load", type=float, default=0.35,
-                   help="total best-effort offered load as a fraction of "
-                        "the fleet's aggregate solo capacity (default 0.35)")
-    p.add_argument("--placement", default="all",
-                   choices=("all", "plan", "adversarial"),
-                   help="tenant residency: 'all' (every tenant on every "
-                        "GPU), 'plan' (interference-aware single-home), "
-                        "'adversarial' (worst-case packing, for rebalance "
-                        "demos)")
-    p.add_argument("--rebalance", action="store_true",
-                   help="attach the migration controller (requires "
-                        "--placement plan/adversarial)")
-    p.add_argument("--rebalance-interval", type=float, default=0.02,
-                   help="seconds between re-plan ticks (default 0.02)")
-    p.add_argument("--migration-cooldown", type=float, default=0.04,
-                   help="per-tenant quiet time after a move (default 0.04)")
-    p.add_argument("--max-inflight-migrations", type=int, default=1,
-                   help="concurrent migrations cap (default 1)")
-    p.add_argument("--min-gain", type=float, default=0.05,
-                   help="minimum predicted interference gain to consider "
-                        "a move (default 0.05)")
+    _add_knob_flags(p, "fleet")
     p.add_argument("--json", action="store_true",
                    help="emit the availability report JSON")
     p.add_argument("--report-out", default=None,
@@ -169,83 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overload",
                        help="overload-protection demo: drive the service "
                             "past capacity, print latency/shed/guard stats")
-    p.add_argument("--model", default="mobilenet_v2", choices=MODEL_NAMES)
-    p.add_argument("--duration", type=float, default=0.8,
-                   help="simulated seconds (default 0.8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--be-clients", type=int, default=2,
-                   help="number of best-effort inference clients")
-    p.add_argument("--hp-load", type=float, default=0.3,
-                   help="high-priority offered load as a fraction of solo "
-                        "capacity (default 0.3)")
-    p.add_argument("--be-load", type=float, default=2.0,
-                   help="total best-effort offered load as a fraction of "
-                        "solo capacity (default 2.0 — overload)")
-    p.add_argument("--arrivals", default="poisson",
-                   choices=("poisson", "burst", "ramp"),
-                   help="high-priority arrival process")
-    p.add_argument("--deadline-mult", type=float, default=20.0,
-                   help="best-effort request deadline as a multiple of the "
-                        "solo latency (0 disables shedding)")
-    p.add_argument("--slo-mult", type=float, default=1.2,
-                   help="HP latency SLO as a multiple of the solo latency")
-    p.add_argument("--no-guard", action="store_true",
-                   help="disable the adaptive SLO guard")
-    p.add_argument("--queue-depth", type=int, default=32,
-                   help="bound on each best-effort software queue "
-                        "(0 = unbounded)")
-    p.add_argument("--policy", default="block", choices=("block", "reject"),
-                   help="full-queue policy: backpressure or load shedding")
+    _add_knob_flags(p, "overload")
     p.add_argument("--json", action="store_true",
                    help="emit JSON (including the canonical ledger)")
 
     p = sub.add_parser("llm",
                        help="continuous-batching LLM serving demo: "
                             "TTFT/TPOT/tokens-per-sec under collocation")
-    p.add_argument("--model", default="llm-small",
-                   help="LLM workload name from the registry "
-                        "(default llm-small)")
-    p.add_argument("--backend", default="orion", choices=LLM_BACKENDS,
-                   help="sharing technique")
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds (default 0.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
-    p.add_argument("--request-rate", type=float, default=80.0,
-                   help="Poisson request arrivals per second (default 80)")
-    p.add_argument("--prompt-mean", type=float, default=64.0,
-                   help="mean prompt length in tokens (default 64)")
-    p.add_argument("--prompt-cap", type=int, default=256,
-                   help="max prompt length in tokens (default 256)")
-    p.add_argument("--output-mean", type=float, default=8.0,
-                   help="mean output length in tokens (default 8)")
-    p.add_argument("--output-cap", type=int, default=64,
-                   help="max output length in tokens (default 64)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="continuous-batching decode batch cap (default 8)")
-    p.add_argument("--kv-budget-mb", type=float, default=None,
-                   help="KV-cache budget in MiB (default: whatever "
-                        "device memory is left)")
-    p.add_argument("--kv-block-tokens", type=int, default=16,
-                   help="tokens per KV-cache block (default 16)")
-    p.add_argument("--cache-policy", default="evict",
-                   choices=("evict", "block"),
-                   help="KV pressure policy: evict-and-requeue or "
-                        "block admission until the full reservation fits")
-    p.add_argument("--be-model", default="mobilenet_v2", choices=MODEL_NAMES,
-                   help="best-effort training model collocated with "
-                        "the serving loop")
-    p.add_argument("--be-clients", type=int, default=1,
-                   help="best-effort training clients (0 = solo)")
-    p.add_argument("--no-protect-prefill", action="store_true",
-                   help="disable the phase-aware prefill protection "
-                        "hint (orion only)")
-    p.add_argument("--ttft-slo-mult", type=float, default=3.0,
-                   help="TTFT SLO as a multiple of the solo prefill "
-                        "latency (default 3.0)")
-    p.add_argument("--warmup", type=float, default=0.0,
-                   help="exclude requests arriving before this time")
+    _add_knob_flags(p, "llm")
     p.add_argument("--json", action="store_true",
                    help="emit the canonical scenario JSON")
 
@@ -487,23 +428,16 @@ def _print_experiment(result, as_json: bool) -> None:
 def _run_faults(args) -> None:
     from repro.faults import FaultPlan, KillClient
 
-    plan = FaultPlan(())
-    if args.kill != "none":
-        valid = ["hp"] + [f"be-{i}" for i in range(args.be_clients)]
-        if args.kill not in valid:
-            raise SystemExit(
-                f"error: --kill {args.kill!r} names no client in this "
-                f"scenario (choose from {', '.join(valid)}, or 'none')")
+    objects = {}
+    if args.kill == "none":
+        objects["plan"] = FaultPlan(())
+    elif args.kill is not None:
         kill_at = args.kill_at if args.kill_at is not None \
             else args.duration * 0.4
-        plan = FaultPlan((KillClient(args.kill, at_time=kill_at),))
-    params = FaultsParams(
-        seed=args.seed, duration=args.duration, plan=plan,
-        backend=args.backend, be_clients=args.be_clients,
-        model=args.model, device=args.device,
-        watchdog_multiple=args.watchdog,
-    ).to_params()
-    scenario = Scenario(kind="faults", name="faults", params=params)
+        objects["plan"] = FaultPlan((KillClient(args.kill, at_time=kill_at),))
+    elif args.kill_at is not None:
+        raise SystemExit("error: --kill-at needs --kill")
+    scenario = _knob_scenario(args, "faults", **objects)
     result = run_scenario(scenario).result
     if args.json:
         print(result.ledger.to_json())
@@ -522,20 +456,7 @@ def _run_faults(args) -> None:
 
 
 def _run_fleet(args) -> None:
-    params = FleetParams(
-        seed=args.seed, duration=args.duration, num_gpus=args.num_gpus,
-        backend=args.backend, model=args.model, device=args.device,
-        crashes=args.crashes, degrades=args.degrades,
-        slowdown=args.slowdown, recover_after=args.recover_after,
-        hp_load=args.hp_load, be_load=args.be_load,
-        be_tenants=args.be_tenants,
-        placement=args.placement, rebalance=args.rebalance,
-        rebalance_interval=args.rebalance_interval,
-        migration_cooldown=args.migration_cooldown,
-        max_inflight_migrations=args.max_inflight_migrations,
-        migration_min_gain=args.min_gain,
-    ).to_params()
-    scenario = Scenario(kind="fleet", name="fleet", params=params)
+    scenario = _knob_scenario(args, "fleet")
     result = run_scenario(scenario).result
     report = result.report
     payload = json.dumps(report, indent=1, sort_keys=True)
@@ -543,12 +464,12 @@ def _run_fleet(args) -> None:
         with open(args.report_out, "w") as fh:
             fh.write(json.dumps(report, sort_keys=True,
                                 separators=(",", ":")))
-        print(f"wrote {args.report_out}")
+        print(f"wrote {args.report_out}", file=sys.stderr)
     if args.migration_report_out:
         with open(args.migration_report_out, "w") as fh:
             fh.write(json.dumps(result.migration, sort_keys=True,
                                 separators=(",", ":")))
-        print(f"wrote {args.migration_report_out}")
+        print(f"wrote {args.migration_report_out}", file=sys.stderr)
     if args.json:
         print(payload)
         return
@@ -589,15 +510,7 @@ def _run_fleet(args) -> None:
 
 
 def _run_overload(args) -> None:
-    params = OverloadParams(
-        seed=args.seed, duration=args.duration, model=args.model,
-        device=args.device, be_clients=args.be_clients,
-        hp_load=args.hp_load, be_load=args.be_load, arrivals=args.arrivals,
-        deadline_mult=args.deadline_mult or None, slo_mult=args.slo_mult,
-        guard=not args.no_guard, queue_depth=args.queue_depth or None,
-        policy=args.policy,
-    ).to_params()
-    scenario = Scenario(kind="overload", name="overload", params=params)
+    scenario = _knob_scenario(args, "overload")
     result = run_scenario(scenario).result
     if args.json:
         payload = {
@@ -643,20 +556,7 @@ def _run_overload(args) -> None:
 
 
 def _run_llm(args) -> None:
-    params = LlmParams(
-        seed=args.seed, duration=args.duration, model=args.model,
-        device=args.device, backend=args.backend,
-        request_rate=args.request_rate,
-        prompt_mean=args.prompt_mean, prompt_cap=args.prompt_cap,
-        output_mean=args.output_mean, output_cap=args.output_cap,
-        max_batch=args.max_batch, kv_budget_mb=args.kv_budget_mb,
-        kv_block_tokens=args.kv_block_tokens,
-        cache_policy=args.cache_policy,
-        be_model=args.be_model, be_clients=args.be_clients,
-        protect_prefill=not args.no_protect_prefill,
-        ttft_slo_mult=args.ttft_slo_mult, warmup=args.warmup,
-    ).to_params()
-    scenario = Scenario(kind="llm", name="llm", params=params)
+    scenario = _knob_scenario(args, "llm")
     wrapped = run_scenario(scenario)
     if args.json:
         print(wrapped.to_json())

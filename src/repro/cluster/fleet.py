@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import OrionConfig
+from repro.experiments.params import FleetParams
 from repro.experiments.runner import get_profile
 from repro.experiments.testbed import GpuStack, Testbed
 from repro.faults.injector import FaultInjector
@@ -62,7 +63,7 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
 from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
+from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import ClientStats, RequestRecord
 from repro.workloads.registry import build_plan
@@ -1048,37 +1049,7 @@ def _default_tenants(capacity: float, num_gpus: int, model: str,
     return tenants
 
 
-def _run_fleet_scenario(
-    seed: int = 0,
-    duration: float = 0.2,
-    num_gpus: int = 8,
-    backend: str = "orion",
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    tenants: Optional[Sequence[TenantSpec]] = None,
-    plan: Optional[FaultPlan] = None,
-    crashes: int = 1,
-    degrades: int = 1,
-    slowdown: float = 3.0,
-    recover_after: Optional[float] = None,
-    hp_load: float = 0.25,
-    be_load: float = 0.35,
-    be_tenants: int = 2,
-    interference_weight: float = 1.0,
-    health_weight: float = 4.0,
-    warmup: float = 0.0,
-    telemetry: Optional[TelemetryConfig] = None,
-    placement: object = "all",
-    max_tenants_per_gpu: int = 2,
-    rebalance: bool = False,
-    rebalance_interval: float = 0.02,
-    migration_cooldown: float = 0.04,
-    max_inflight_migrations: int = 1,
-    migration_min_gain: float = 0.05,
-    migration_cost_weight: float = 1.0,
-    measure_window: int = 32,
-    measure_min_samples: int = 8,
-) -> FleetResult:
+def _run_fleet_scenario(params: FleetParams) -> FleetResult:
     """Run the fleet-resilience scenario and return its accounting.
 
     With no explicit ``plan``, a deterministic fleet plan is sampled
@@ -1087,7 +1058,7 @@ def _run_fleet_scenario(
     explicit ``tenants``, one high-priority tenant and ``be_tenants``
     best-effort tenants serve ``model`` at ``hp_load``/``be_load``
     fractions of the fleet's aggregate solo capacity.  Fully
-    deterministic under (seed, arguments).
+    deterministic under ``params``.
 
     ``placement`` selects tenant residency: ``"all"`` (default —
     every tenant resident on every GPU, migration off), ``"plan"``
@@ -1098,25 +1069,18 @@ def _run_fleet_scenario(
     periodically re-plans over measured interference and moves tenants
     through the cordon→drain→move→re-warm→uncordon state machine.
     """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    if rebalance and placement == "all":
-        raise ValueError(
-            "rebalance requires single-home placement "
-            "(placement='plan'/'adversarial' or an explicit mapping); "
-            "with placement='all' every tenant is already everywhere")
-
-    testbed = Testbed.build(device, seed, telemetry)
+    duration, num_gpus, model = params.duration, params.num_gpus, params.model
+    placement, tenants, plan = params.placement, params.tenants, params.plan
+    max_per_gpu = params.max_tenants_per_gpu
+    testbed = Testbed.build(params.device, params.seed, params.telemetry)
     sim, device_spec, tracer = testbed.sim, testbed.device_spec, testbed.tracer
     ledger = ErrorLedger()
 
     if plan is None:
         plan = FaultPlan.sample_fleet(
-            seed, num_gpus, horizon=duration, crashes=crashes,
-            degrades=degrades, slowdown=slowdown,
-            recover_after=recover_after)
+            params.seed, num_gpus, horizon=duration, crashes=params.crashes,
+            degrades=params.degrades, slowdown=params.slowdown,
+            recover_after=params.recover_after)
     non_fleet = [ev for ev in plan if not isinstance(
         ev, (GpuCrash, GpuDegrade, GpuRecover))]
     if non_fleet:
@@ -1136,12 +1100,11 @@ def _run_fleet_scenario(
         capacity = 1.0 / get_profile(model, "inference",
                                      device_spec).request_latency
         tenants = _default_tenants(capacity, num_gpus, model,
-                                   hp_load, be_load, be_tenants)
+                                   params.hp_load, params.be_load,
+                                   params.be_tenants)
 
     assignment: Optional[Dict[str, int]] = None
-    if placement == "all":
-        assignment = None
-    elif placement in ("plan", "adversarial"):
+    if placement in ("plan", "adversarial"):
         signatures = {
             t.name: signature_of(
                 get_profile(t.model, "inference", device_spec), name=t.name)
@@ -1149,37 +1112,34 @@ def _run_fleet_scenario(
         if placement == "plan":
             placements = plan_placement(
                 sorted(signatures.values(), key=lambda s: s.name),
-                num_gpus, max_per_gpu=max_tenants_per_gpu)
+                num_gpus, max_per_gpu=max_per_gpu)
             assignment = {job.name: p.gpu
                           for p in placements for job in p.jobs}
         else:
             assignment = adversarial_assignment(
-                signatures, num_gpus, max_per_gpu=max_tenants_per_gpu)
-    elif isinstance(placement, dict):
+                signatures, num_gpus, max_per_gpu=max_per_gpu)
+    elif placement != "all":
         assignment = dict(placement)
-    else:
-        raise ValueError(
-            f"placement must be 'all', 'plan', 'adversarial' or a "
-            f"tenant->gpu mapping; got {placement!r}")
 
     fleet = Fleet(
-        sim, num_gpus, tenants, device_spec, testbed.store, backend=backend,
-        rng_factory=testbed.rng, ledger=ledger, tracer=tracer,
-        interference_weight=interference_weight, health_weight=health_weight,
-        assignment=assignment, max_tenants_per_gpu=max_tenants_per_gpu,
+        sim, num_gpus, tenants, device_spec, testbed.store,
+        backend=params.backend, rng_factory=testbed.rng, ledger=ledger,
+        tracer=tracer, interference_weight=params.interference_weight,
+        health_weight=params.health_weight, assignment=assignment,
+        max_tenants_per_gpu=max_per_gpu,
     )
     controller = None
-    if rebalance:
+    if params.rebalance:
         from repro.cluster.migration import (MigrationController,
                                              MigrationPolicy)
         controller = MigrationController(fleet, MigrationPolicy(
-            interval=rebalance_interval,
-            cooldown=migration_cooldown,
-            max_inflight=max_inflight_migrations,
-            min_gain=migration_min_gain,
-            cost_weight=migration_cost_weight,
-            measure_window=measure_window,
-            measure_min_samples=measure_min_samples,
+            interval=params.rebalance_interval,
+            cooldown=params.migration_cooldown,
+            max_inflight=params.max_inflight_migrations,
+            min_gain=params.migration_min_gain,
+            cost_weight=params.migration_cost_weight,
+            measure_window=params.measure_window,
+            measure_min_samples=params.measure_min_samples,
         ))
     fleet.start(duration)
     if controller is not None:
@@ -1196,7 +1156,7 @@ def _run_fleet_scenario(
     hp_records = [r for name in hp_names
                   for r in fleet.stats[name].records]
     hp_records.sort(key=lambda r: (r.arrival, r.start, r.end))
-    hp_latency = summarize_latencies(hp_records, after=warmup)
+    hp_latency = summarize_latencies(hp_records, after=params.warmup)
 
     report = availability_report(fleet, duration)
     migration_lines = (controller.digest_lines()
@@ -1211,7 +1171,7 @@ def _run_fleet_scenario(
                         if controller is not None else {})
     return FleetResult(
         num_gpus=num_gpus,
-        backend=backend,
+        backend=params.backend,
         plan=plan,
         tenants=fleet.tenants,
         jobs=dict(fleet.stats),

@@ -31,11 +31,12 @@ from repro.experiments.runner import get_profile
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
+from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient
 from repro.workloads.registry import build_plan
 
+from .params import OverloadParams
 from .testbed import Testbed, report_stats
 
 __all__ = ["OverloadResult"]
@@ -87,71 +88,43 @@ class OverloadResult:
         return sum(stats.shed for stats in self.jobs.values())
 
 
-def _run_overload_scenario(
-    seed: int = 0,
-    duration: float = 0.4,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    be_clients: int = 2,
-    hp_load: float = 0.3,
-    be_load: float = 2.0,
-    arrivals: str = "poisson",
-    deadline_mult: Optional[float] = 20.0,
-    slo_mult: float = 1.2,
-    guard: bool = True,
-    queue_depth: Optional[int] = 32,
-    policy: str = "block",
-    initial_dur_frac: float = 0.35,
-    warmup: float = 0.0,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> OverloadResult:
+def _run_overload_scenario(params: OverloadParams) -> OverloadResult:
     """Run the overload scenario and return its accounting.
 
     ``hp_load`` and ``be_load`` are offered loads as fractions of the
     solo capacity (``be_load`` is split across the ``be_clients``
     best-effort clients); their sum past 1.0 is overload by
-    construction.  ``arrivals`` picks the HP arrival process
-    ("poisson", "burst", or "ramp"); best-effort clients always use
-    Poisson arrivals.  ``deadline_mult`` (× solo latency, None
-    disables) arms shed-at-admission on the best-effort clients;
-    ``slo_mult`` × solo latency is the HP SLO the guard enforces when
-    ``guard`` is on.  ``queue_depth``/``policy`` bound the best-effort
-    software queues; ``initial_dur_frac`` is the (deliberately loose)
-    starting DUR_THRESHOLD fraction the guard tightens from.
+    construction.  Best-effort clients always use Poisson arrivals.
+    ``slo_mult`` x solo latency is the HP SLO the guard enforces when
+    ``guard`` is on; see :class:`OverloadParams` for every knob.
     """
-    if be_clients < 0:
-        raise ValueError("be_clients must be >= 0")
-    if hp_load <= 0:
-        raise ValueError("hp_load must be positive")
-    if be_load < 0:
-        raise ValueError("be_load must be >= 0")
-
-    testbed = Testbed.build(device, seed, telemetry)
+    duration, be_clients = params.duration, params.be_clients
+    testbed = Testbed.build(params.device, params.seed, params.telemetry)
     sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
 
-    profile = get_profile(model, "inference", device_spec)
+    profile = get_profile(params.model, "inference", device_spec)
     testbed.store.add(profile)
     solo_latency = profile.request_latency
     capacity = 1.0 / solo_latency
-    slo = slo_mult * solo_latency
-    be_deadline = None if deadline_mult is None \
-        else deadline_mult * solo_latency
+    slo = params.slo_mult * solo_latency
+    be_deadline = None if params.deadline_mult is None \
+        else params.deadline_mult * solo_latency
 
     # Utilization segments feed the trace's device counters; recording
     # them without a tracer would only burn memory.
     gpu = testbed.gpu("orion", OrionConfig(
         hp_request_latency=solo_latency,
-        dur_threshold_frac=initial_dur_frac,
-        be_queue_depth=queue_depth,
-        overload_policy=policy,
+        dur_threshold_frac=params.initial_dur_frac,
+        be_queue_depth=params.queue_depth,
+        overload_policy=params.policy,
     ), record_utilization=testbed.tracer.enabled)
     backend = gpu.backend
 
-    plan = build_plan(model, "inference")
-    hp_rps = hp_load * capacity
+    plan = build_plan(params.model, "inference")
+    hp_rps = params.hp_load * capacity
     hp_arrivals = make_arrivals(
-        arrivals, rps=hp_rps, rng=rng_factory.stream("arrivals:hp"),
+        params.arrivals, rps=hp_rps, rng=rng_factory.stream("arrivals:hp"),
         burst_rps=3.0 * hp_rps, burst_every=duration / 4,
         burst_duration=duration / 16,
         end_rps=3.0 * hp_rps, ramp_duration=duration,
@@ -160,7 +133,7 @@ def _run_overload_scenario(
         sim, gpu.ctx("hp", True, "inference"), plan, device_spec, hp_arrivals,
         "hp", horizon=duration, ledger=ledger,
     )]
-    be_rps = (be_load * capacity / be_clients) if be_clients else 0.0
+    be_rps = (params.be_load * capacity / be_clients) if be_clients else 0.0
     for i in range(be_clients):
         name = f"be-{i}"
         clients.append(InferenceClient(
@@ -171,7 +144,7 @@ def _run_overload_scenario(
         ))
 
     slo_guard: Optional[SloGuard] = None
-    if guard:
+    if params.guard:
         slo_guard = SloGuard(sim, backend, SloGuardConfig(
             slo=slo, check_interval=max(4.0 * solo_latency, 1e-4),
         )).start()
@@ -183,12 +156,13 @@ def _run_overload_scenario(
     ledger.finalize(duration)
 
     jobs = {c.name: c.stats for c in clients}
-    hp_latency = summarize_latencies(jobs["hp"].records, after=warmup)
+    hp_latency = summarize_latencies(jobs["hp"].records,
+                                     after=params.warmup)
 
     return OverloadResult(
         capacity=capacity,
         solo_latency=solo_latency,
-        slo=slo if guard else None,
+        slo=slo if params.guard else None,
         hp_latency=hp_latency,
         jobs=jobs,
         ledger=ledger,

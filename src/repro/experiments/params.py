@@ -1,24 +1,28 @@
-"""Typed per-kind scenario parameter surfaces.
+"""Typed per-kind scenario parameter surfaces: one declaration per knob.
 
-Before this module, the non-experiment scenario kinds (overload,
-faults, fleet, llm) each carried an untyped ``params`` kwargs dict that
-was only checked when the implementation function finally ran — a typo
-in a knob name surfaced minutes into a sweep instead of at build time.
-Each kind now has a frozen dataclass mirroring its implementation
-signature exactly; :func:`validate_params` is invoked from
-``Scenario.__post_init__`` so **every** construction path (CLI flags,
-``make_scenario`` overrides, serve-daemon submits, hand-built
-scenarios) fails fast on unknown keys or out-of-range values.
+Each non-experiment scenario kind (overload, faults, fleet, llm) has a
+frozen dataclass here.  A field, declared through :func:`knob`, is the
+only place its knob's name, type, default, choices, range and CLI help
+are written:
 
-The dataclasses are also constructors: ``OverloadParams(be_clients=4)
-.to_params()`` renders the sparse override dict a ``Scenario`` carries
-(only non-default fields), which keeps ``describe()`` and the scenario
-catalog stable.  The CLI builds its params through these types.
+* ``run(scenario)`` builds ``PARAM_TYPES[kind](**scenario.params)`` and
+  passes the validated instance to the kind's implementation as its
+  one parameter, so the implementations neither restate defaults nor
+  re-check ranges;
+* ``repro.cli`` generates each kind's flags from the same fields.
+
+:func:`validate_params` is invoked from ``Scenario.__post_init__`` so
+**every** construction path (CLI flags, ``make_scenario`` overrides,
+serve-daemon submits, hand-built scenarios) fails fast on unknown keys,
+out-of-range values and contradictory combinations.  ``to_params()``
+renders the sparse override dict a ``Scenario`` carries (only
+non-default fields), which keeps ``describe()`` and the scenario
+catalog stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
 _OVERLOAD_POLICIES = ("block", "reject")
 _CACHE_POLICIES = ("evict", "block")
 _OVERLOAD_ARRIVALS = ("poisson", "burst", "ramp")
+_FLEET_PLACEMENTS = ("all", "plan", "adversarial")
 
 #: Backends each scenario kind runs on: names in
 #: ``repro.experiments.testbed.BACKENDS``.  Overload scenarios are
@@ -50,168 +55,219 @@ FLEET_BACKENDS = ("orion", "reef", "streams", "priority-streams")
 LLM_BACKENDS = ("orion", "temporal", "streams", "priority-streams")
 
 
+def knob(default: Any, help: Optional[str] = None, *,
+         check: Optional[str] = None, choices: Optional[tuple] = None,
+         mapping: bool = False):
+    """Declare one scenario knob as a dataclass field.
+
+    ``check`` is ``"positive"`` or ``"non_negative"`` (a ``None``
+    value passes it); ``choices`` is the tuple both validation and the CLI
+    read; ``mapping`` also accepts an explicit mapping in place of a
+    named choice.  ``help`` is the CLI help text.
+    """
+    return field(default=default, metadata={
+        "help": help, "check": check, "choices": choices, "mapping": mapping})
+
+
 class _ParamsBase:
-    """Shared machinery: sparse rendering + common range checks."""
+    """Shared machinery: per-knob checks + sparse rendering."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, choices = f.metadata["check"], f.metadata["choices"]
+            if choices is not None and value not in choices and not (
+                    f.metadata["mapping"] and isinstance(value, Mapping)):
+                raise ValueError(
+                    f"{f.name} must be one of {choices}, got {value!r}")
+            if value is None:
+                continue
+            if check == "positive" and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
+            if check == "non_negative" and value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
     def to_params(self) -> Dict[str, Any]:
         """Sparse params dict: only fields that differ from defaults."""
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            default = f.default if f.default is not MISSING else MISSING
-            if default is MISSING or value != default:
-                out[f.name] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) != f.default}
 
-    def _require_positive(self, *names: str) -> None:
-        for name in names:
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
 
-    def _require_non_negative(self, *names: str) -> None:
-        for name in names:
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-    def _require_choice(self, name: str, choices) -> None:
-        value = getattr(self, name)
-        if value not in choices:
-            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+_SEED_HELP = "root RNG seed"
+_DURATION_HELP = "simulated seconds"
+_WARMUP_HELP = "exclude requests arriving before this time"
 
 
 @dataclass(frozen=True)
 class OverloadParams(_ParamsBase):
     """Knobs of ``Scenario(kind="overload")`` (see experiments.overload)."""
 
-    seed: int = 0
-    duration: float = 0.4
-    model: str = "mobilenet_v2"
-    device: str = "V100-16GB"
-    be_clients: int = 2
-    hp_load: float = 0.3
-    be_load: float = 2.0
-    arrivals: str = "poisson"
-    deadline_mult: Optional[float] = 20.0
-    slo_mult: float = 1.2
-    guard: bool = True
-    queue_depth: Optional[int] = 32
-    policy: str = "block"
-    initial_dur_frac: float = 0.35
-    warmup: float = 0.0
-    telemetry: Optional[object] = None
-
-    def __post_init__(self):
-        self._require_positive("duration", "hp_load", "slo_mult",
-                               "deadline_mult", "queue_depth",
-                               "initial_dur_frac")
-        self._require_non_negative("be_clients", "be_load", "warmup")
-        self._require_choice("policy", _OVERLOAD_POLICIES)
-        self._require_choice("arrivals", _OVERLOAD_ARRIVALS)
+    seed: int = knob(0, _SEED_HELP)
+    duration: float = knob(0.4, _DURATION_HELP, check="positive")
+    model: str = knob("mobilenet_v2", "served model (HP and BE clients)")
+    device: str = knob("V100-16GB", "simulated GPU")
+    be_clients: int = knob(2, "number of best-effort inference clients",
+                           check="non_negative")
+    hp_load: float = knob(0.3, "high-priority offered load as a fraction "
+                          "of solo capacity", check="positive")
+    be_load: float = knob(2.0, "total best-effort offered load as a "
+                          "fraction of solo capacity (past 1 - hp_load "
+                          "is overload)", check="non_negative")
+    arrivals: str = knob("poisson", "high-priority arrival process",
+                         choices=_OVERLOAD_ARRIVALS)
+    deadline_mult: Optional[float] = knob(
+        20.0, "best-effort request deadline as a multiple of the solo "
+        "latency (None disables shedding)", check="positive")
+    slo_mult: float = knob(1.2, "HP latency SLO as a multiple of the solo "
+                           "latency", check="positive")
+    guard: bool = knob(True, "run the adaptive SLO guard")
+    queue_depth: Optional[int] = knob(
+        32, "bound on each best-effort software queue (None = unbounded)",
+        check="positive")
+    policy: str = knob("block", "full-queue policy: backpressure or load "
+                       "shedding", choices=_OVERLOAD_POLICIES)
+    initial_dur_frac: float = knob(
+        0.35, "starting (deliberately loose) DUR_THRESHOLD fraction the "
+        "guard tightens from", check="positive")
+    warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
+    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
 
 
 @dataclass(frozen=True)
 class FaultsParams(_ParamsBase):
     """Knobs of ``Scenario(kind="faults")`` (see faults.scenario)."""
 
-    seed: int = 0
-    duration: float = 0.2
-    plan: Optional[object] = None   #: FaultPlan; None samples from seed
-    backend: str = "orion"
-    be_clients: int = 2
-    model: str = "mobilenet_v2"
-    device: str = "V100-16GB"
-    hp_rps: float = 100.0
-    watchdog_multiple: Optional[float] = None
-    warmup: float = 0.0
-
-    def __post_init__(self):
-        self._require_positive("duration", "hp_rps", "watchdog_multiple")
-        self._require_non_negative("be_clients", "warmup")
-        self._require_choice("backend", FAULTS_BACKENDS)
+    seed: int = knob(0, _SEED_HELP)
+    duration: float = knob(0.2, _DURATION_HELP, check="positive")
+    plan: Optional[object] = knob(None)   #: FaultPlan; None kills be-0 at 40%
+    backend: str = knob("orion", "sharing technique",
+                        choices=FAULTS_BACKENDS)
+    be_clients: int = knob(2, "number of best-effort training clients",
+                           check="non_negative")
+    model: str = knob("mobilenet_v2", "model of every client")
+    device: str = knob("V100-16GB", "simulated GPU")
+    hp_rps: float = knob(100.0, "high-priority Poisson request rate",
+                         check="positive")
+    watchdog_multiple: Optional[float] = knob(
+        None, "flag BE kernels overdue by this multiple of their profiled "
+        "duration (orion only; None = off)", check="positive")
+    warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
 
 
 @dataclass(frozen=True)
 class FleetParams(_ParamsBase):
     """Knobs of ``Scenario(kind="fleet")`` (see cluster.fleet)."""
 
-    seed: int = 0
-    duration: float = 0.2
-    num_gpus: int = 8
-    backend: str = "orion"
-    model: str = "mobilenet_v2"
-    device: str = "V100-16GB"
-    tenants: Optional[object] = None  #: Sequence[TenantSpec]
-    plan: Optional[object] = None     #: FaultPlan
-    crashes: int = 1
-    degrades: int = 1
-    slowdown: float = 3.0
-    recover_after: Optional[float] = None
-    hp_load: float = 0.25
-    be_load: float = 0.35
-    be_tenants: int = 2
-    interference_weight: float = 1.0
-    health_weight: float = 4.0
-    warmup: float = 0.0
-    telemetry: Optional[object] = None
-    placement: object = "all"
-    max_tenants_per_gpu: int = 2
-    rebalance: bool = False
-    rebalance_interval: float = 0.02
-    migration_cooldown: float = 0.04
-    max_inflight_migrations: int = 1
-    migration_min_gain: float = 0.05
-    migration_cost_weight: float = 1.0
-    measure_window: int = 32
-    measure_min_samples: int = 8
+    seed: int = knob(0, _SEED_HELP)
+    duration: float = knob(0.2, _DURATION_HELP, check="positive")
+    num_gpus: int = knob(8, "GPUs in the fleet", check="positive")
+    backend: str = knob("orion", "per-GPU sharing technique",
+                        choices=FLEET_BACKENDS)
+    model: str = knob("mobilenet_v2", "model every default tenant serves")
+    device: str = knob("V100-16GB", "simulated GPU")
+    tenants: Optional[object] = knob(None)  #: Sequence[TenantSpec]
+    plan: Optional[object] = knob(None)     #: FaultPlan; None samples one
+    crashes: int = knob(1, "GPUs to crash mid-run", check="non_negative")
+    degrades: int = knob(1, "GPUs to degrade mid-run", check="non_negative")
+    slowdown: float = knob(3.0, "degradation slowdown factor",
+                           check="positive")
+    recover_after: Optional[float] = knob(
+        None, "recover each victim this many seconds after its fault "
+        "(None = never)", check="positive")
+    hp_load: float = knob(0.25, "high-priority offered load as a fraction "
+                          "of the fleet's aggregate solo capacity",
+                          check="non_negative")
+    be_load: float = knob(0.35, "total best-effort offered load as a "
+                          "fraction of the fleet's aggregate solo "
+                          "capacity", check="non_negative")
+    be_tenants: int = knob(2, "best-effort tenants sharing the fleet",
+                           check="non_negative")
+    interference_weight: float = knob(
+        1.0, "router weight of predicted interference")
+    health_weight: float = knob(4.0, "router weight of GPU health")
+    warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
+    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
+    placement: object = knob(
+        "all", "tenant residency: 'all' (every tenant on every GPU), "
+        "'plan' (interference-aware single-home), 'adversarial' "
+        "(worst-case packing, for rebalance demos); code may also pass "
+        "an explicit {tenant: gpu} mapping",
+        choices=_FLEET_PLACEMENTS, mapping=True)
+    max_tenants_per_gpu: int = knob(
+        2, "tenant cap per GPU under single-home placement",
+        check="positive")
+    rebalance: bool = knob(False, "attach the migration controller "
+                           "(needs single-home placement)")
+    rebalance_interval: float = knob(0.02, "seconds between re-plan ticks",
+                                     check="positive")
+    migration_cooldown: float = knob(
+        0.04, "per-tenant quiet time after a move", check="non_negative")
+    max_inflight_migrations: int = knob(1, "concurrent migrations cap",
+                                        check="non_negative")
+    migration_min_gain: float = knob(
+        0.05, "minimum predicted interference gain to consider a move",
+        check="non_negative")
+    migration_cost_weight: float = knob(
+        1.0, "weight of a move's cost against its predicted gain")
+    measure_window: int = knob(
+        32, "latency samples per tenant in the measured-interference "
+        "window", check="positive")
+    measure_min_samples: int = knob(
+        8, "samples a tenant needs before its measurement counts",
+        check="positive")
 
     def __post_init__(self):
-        self._require_positive("duration", "num_gpus", "slowdown",
-                               "recover_after", "rebalance_interval",
-                               "max_tenants_per_gpu", "measure_window",
-                               "measure_min_samples")
-        self._require_non_negative("crashes", "degrades", "be_tenants",
-                                   "warmup", "hp_load", "be_load",
-                                   "migration_cooldown",
-                                   "max_inflight_migrations",
-                                   "migration_min_gain")
-        self._require_choice("backend", FLEET_BACKENDS)
+        super().__post_init__()
+        if self.rebalance and self.placement == "all":
+            raise ValueError(
+                "rebalance requires single-home placement "
+                "(placement='plan'/'adversarial' or an explicit mapping); "
+                "with placement='all' every tenant is already everywhere")
 
 
 @dataclass(frozen=True)
 class LlmParams(_ParamsBase):
     """Knobs of ``Scenario(kind="llm")`` (see workloads.llmserve)."""
 
-    seed: int = 0
-    duration: float = 0.2
-    model: str = "llm-small"
-    device: str = "V100-16GB"
-    backend: str = "orion"
-    request_rate: float = 80.0
-    prompt_mean: float = 64.0
-    prompt_cap: int = 256
-    output_mean: float = 8.0
-    output_cap: int = 64
-    max_batch: int = 8
-    kv_budget_mb: Optional[float] = None
-    kv_block_tokens: int = 16
-    cache_policy: str = "evict"
-    be_model: str = "mobilenet_v2"
-    be_clients: int = 1
-    protect_prefill: bool = True
-    ttft_slo_mult: float = 3.0
-    warmup: float = 0.0
-    telemetry: Optional[object] = None
+    seed: int = knob(0, _SEED_HELP)
+    duration: float = knob(0.2, _DURATION_HELP, check="positive")
+    model: str = knob("llm-small", "LLM workload name from the registry")
+    device: str = knob("V100-16GB", "simulated GPU")
+    backend: str = knob("orion", "sharing technique", choices=LLM_BACKENDS)
+    request_rate: float = knob(80.0, "Poisson request arrivals per second",
+                               check="positive")
+    prompt_mean: float = knob(64.0, "mean prompt length in tokens",
+                              check="positive")
+    prompt_cap: int = knob(256, "max prompt length in tokens",
+                           check="positive")
+    output_mean: float = knob(8.0, "mean output length in tokens",
+                              check="positive")
+    output_cap: int = knob(64, "max output length in tokens",
+                           check="positive")
+    max_batch: int = knob(8, "continuous-batching decode batch cap",
+                          check="positive")
+    kv_budget_mb: Optional[float] = knob(
+        None, "KV-cache budget in MiB (None = whatever device memory is "
+        "left)", check="positive")
+    kv_block_tokens: int = knob(16, "tokens per KV-cache block",
+                                check="positive")
+    cache_policy: str = knob(
+        "evict", "KV pressure policy: evict-and-requeue or block admission "
+        "until the full reservation fits", choices=_CACHE_POLICIES)
+    be_model: str = knob("mobilenet_v2", "best-effort training model "
+                         "collocated with the serving loop")
+    be_clients: int = knob(1, "best-effort training clients (0 = solo)",
+                           check="non_negative")
+    protect_prefill: bool = knob(
+        True, "phase-aware prefill protection hint (orion only)")
+    ttft_slo_mult: float = knob(
+        3.0, "TTFT SLO as a multiple of the solo prefill latency",
+        check="positive")
+    warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
+    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
 
     def __post_init__(self):
-        self._require_positive("duration", "request_rate", "prompt_mean",
-                               "prompt_cap", "output_mean", "output_cap",
-                               "max_batch", "kv_budget_mb",
-                               "kv_block_tokens", "ttft_slo_mult")
-        self._require_non_negative("be_clients", "warmup")
-        self._require_choice("cache_policy", _CACHE_POLICIES)
-        self._require_choice("backend", LLM_BACKENDS)
+        super().__post_init__()
         if self.prompt_mean > self.prompt_cap:
             raise ValueError("prompt_mean must be <= prompt_cap")
         if self.output_mean > self.output_cap:
@@ -244,4 +300,4 @@ def validate_params(kind: str, params: Mapping[str, Any]) -> None:
         raise ValueError(
             f"unknown {kind} scenario parameter(s) {', '.join(unknown)}; "
             f"valid: {', '.join(sorted(known))}")
-    cls(**params)  # range/choice checks in __post_init__
+    cls(**params)  # range/choice/cross-field checks in __post_init__

@@ -3,9 +3,10 @@
 A :class:`Scenario` describes any run: ``kind`` selects the family,
 ``experiment`` carries the full
 :class:`~repro.experiments.config.ExperimentConfig` for collocation
-runs, and ``params`` carries the keyword surface of the overload,
-faults, fleet and llm families verbatim.  Every family builds its GPUs
-on the shared testbed in :mod:`repro.experiments.testbed`.
+runs, and ``params`` carries sparse overrides of the typed params
+dataclass of the overload, faults, fleet and llm families.  Every
+family builds its GPUs on the shared testbed in
+:mod:`repro.experiments.testbed`.
 
 ``run(scenario)`` executes any of them and returns a
 :class:`ScenarioResult` wrapping the family-specific result object plus
@@ -28,13 +29,14 @@ from ``Scenario(...)`` itself, not minutes later inside a sweep worker.
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from .config import ExperimentConfig
-from .params import validate_params
+from .params import PARAM_TYPES, validate_params
 
 __all__ = ["Scenario", "ScenarioResult", "run", "SCENARIO_KINDS"]
 
@@ -56,9 +58,9 @@ class Scenario:
         The :class:`ExperimentConfig` payload — required for (and
         exclusive to) ``kind="experiment"``.
     ``params``
-        Keyword arguments for the params-kind implementations,
-        validated at construction against the kind's typed surface
-        (:mod:`repro.experiments.params`) and passed through verbatim.
+        Sparse overrides of the kind's params dataclass
+        (:mod:`repro.experiments.params`), validated at construction;
+        ``run`` builds the dataclass from them and passes it through.
     """
 
     kind: str
@@ -93,7 +95,7 @@ class Scenario:
 
     @property
     def duration(self) -> Optional[float]:
-        """Simulated horizon; None means the implementation's default."""
+        """Simulated horizon; None means the params dataclass default."""
         if self.kind == "experiment":
             return self.experiment.duration
         value = self.params.get("duration")
@@ -154,6 +156,16 @@ class ScenarioResult:
                           separators=(",", ":"), default=float)
 
 
+#: kind -> (module, function) of each params-kind implementation; each
+#: takes the kind's validated params dataclass as its one argument.
+_IMPLEMENTATIONS = {
+    "overload": ("repro.experiments.overload", "_run_overload_scenario"),
+    "faults": ("repro.faults.scenario", "_run_fault_scenario"),
+    "fleet": ("repro.cluster.fleet", "_run_fleet_scenario"),
+    "llm": ("repro.workloads.llmserve", "_run_llm_scenario"),
+}
+
+
 def run(scenario: Scenario) -> ScenarioResult:
     """Execute any :class:`Scenario` and wrap its outcome.
 
@@ -165,22 +177,10 @@ def run(scenario: Scenario) -> ScenarioResult:
         from .runner import _run_experiment
 
         result = _run_experiment(scenario.experiment)
-    elif scenario.kind == "overload":
-        from .overload import _run_overload_scenario
-
-        result = _run_overload_scenario(**scenario.params)
-    elif scenario.kind == "fleet":
-        from repro.cluster.fleet import _run_fleet_scenario
-
-        result = _run_fleet_scenario(**scenario.params)
-    elif scenario.kind == "llm":
-        from repro.workloads.llmserve import _run_llm_scenario
-
-        result = _run_llm_scenario(**scenario.params)
     else:
-        from repro.faults.scenario import _run_fault_scenario
-
-        result = _run_fault_scenario(**scenario.params)
+        module, name = _IMPLEMENTATIONS[scenario.kind]
+        implementation = getattr(importlib.import_module(module), name)
+        result = implementation(PARAM_TYPES[scenario.kind](**scenario.params))
     wall = time.perf_counter() - start
     return ScenarioResult(scenario=scenario, result=result,
                           events_processed=result.events_processed,

@@ -13,9 +13,10 @@ serving again.  Used by ``python -m repro faults``, the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core import OrionConfig
+from repro.experiments.params import FaultsParams
 from repro.experiments.runner import get_profile
 from repro.experiments.testbed import Testbed, report_stats
 from repro.metrics.availability import ErrorLedger
@@ -56,34 +57,25 @@ class FaultScenarioResult:
         return self.jobs["hp"]
 
 
-def _run_fault_scenario(
-    seed: int = 0,
-    duration: float = 0.2,
-    plan: Optional[FaultPlan] = None,
-    backend: str = "orion",
-    be_clients: int = 2,
-    model: str = "mobilenet_v2",
-    device: str = "V100-16GB",
-    hp_rps: float = 100.0,
-    watchdog_multiple: Optional[float] = None,
-    warmup: float = 0.0,
-) -> FaultScenarioResult:
+def _run_fault_scenario(params: FaultsParams) -> FaultScenarioResult:
     """Run the collocation-under-faults scenario and return its ledger.
 
     With no explicit ``plan``, the first best-effort client is killed at
     40% of the horizon — the paper-style "BE job dies, HP job must not
-    notice" experiment.  Fully deterministic under (seed, arguments).
+    notice" experiment.  Fully deterministic under ``params``.
     """
+    duration, model = params.duration, params.model
+    plan = params.plan
     if plan is None:
         plan = FaultPlan((KillClient("be-0", at_time=duration * 0.4),))
-    valid_targets = {"hp"} | {f"be-{i}" for i in range(be_clients)}
+    valid_targets = {"hp"} | {f"be-{i}" for i in range(params.be_clients)}
     for event in plan:
         if isinstance(event, KillClient) and event.client not in valid_targets:
             raise ValueError(
                 f"fault plan targets unknown client {event.client!r}; "
                 f"this scenario has {sorted(valid_targets)}")
 
-    testbed = Testbed.build(device, seed)
+    testbed = Testbed.build(params.device, params.seed)
     sim, device_spec = testbed.sim, testbed.device_spec
     ledger = ErrorLedger()
 
@@ -91,23 +83,23 @@ def _run_fault_scenario(
     testbed.store.add(inf_profile)
     testbed.store.add(get_profile(model, "training", device_spec))
 
-    gpu = testbed.gpu(backend, OrionConfig(
+    gpu = testbed.gpu(params.backend, OrionConfig(
         hp_request_latency=inf_profile.request_latency,
-        watchdog_multiple=watchdog_multiple,
+        watchdog_multiple=params.watchdog_multiple,
     ))
 
     clients: List = []
     hp_plan = build_plan(model, "inference")
     hp = RestartingInferenceClient(
         sim, gpu.ctx("hp", True, "inference"), hp_plan, device_spec,
-        PoissonArrivals(hp_rps, testbed.rng.stream("poisson:hp")),
+        PoissonArrivals(params.hp_rps, testbed.rng.stream("poisson:hp")),
         "hp", horizon=duration,
         ctx_factory=lambda: gpu.ctx("hp", True, "inference"),
         ledger=ledger,
     )
     clients.append(hp)
     train_plan = build_plan(model, "training")
-    for i in range(be_clients):
+    for i in range(params.be_clients):
         name = f"be-{i}"
         clients.append(RestartingTrainingClient(
             sim, gpu.ctx(name, False, "training"), train_plan, device_spec,
@@ -132,7 +124,7 @@ def _run_fault_scenario(
     ledger.finalize(duration)
 
     jobs = {c.name: c.stats for c in clients}
-    hp_latency = summarize_latencies(hp.stats.records, after=warmup)
+    hp_latency = summarize_latencies(hp.stats.records, after=params.warmup)
 
     return FaultScenarioResult(plan=plan, ledger=ledger, jobs=jobs,
                                hp_latency=hp_latency,

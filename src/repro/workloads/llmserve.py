@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from repro.sim.process import Signal, Timeout, spawn
 
 from .arrivals import PoissonArrivals
 from .models.llm import LlmConfig, _decode_step_specs, _prefill_specs
+
+if TYPE_CHECKING:
+    from repro.experiments.params import LlmParams
 
 __all__ = [
     "LlmRequestRecord",
@@ -591,28 +594,7 @@ def _summarize(values: List[float]) -> LatencySummary:
     )
 
 
-def _run_llm_scenario(
-    seed: int = 0,
-    duration: float = 0.2,
-    model: str = "llm-small",
-    device: str = "V100-16GB",
-    backend: str = "orion",
-    request_rate: float = 80.0,
-    prompt_mean: float = 64.0,
-    prompt_cap: int = 256,
-    output_mean: float = 8.0,
-    output_cap: int = 64,
-    max_batch: int = 8,
-    kv_budget_mb: Optional[float] = None,
-    kv_block_tokens: int = 16,
-    cache_policy: str = "evict",
-    be_model: str = "mobilenet_v2",
-    be_clients: int = 1,
-    protect_prefill: bool = True,
-    ttft_slo_mult: float = 3.0,
-    warmup: float = 0.0,
-    telemetry=None,
-) -> LlmServeResult:
+def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
     """Run the continuous-batching LLM serving scenario.
 
     One high-priority :class:`ContinuousBatchingEngine` serves Poisson
@@ -631,22 +613,15 @@ def _run_llm_scenario(
     from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
-    if be_clients < 0:
-        raise ValueError("be_clients must be >= 0")
-    if request_rate <= 0:
-        raise ValueError("request_rate must be positive")
-    if ttft_slo_mult <= 0:
-        raise ValueError("ttft_slo_mult must be positive")
-    if kv_budget_mb is not None and kv_budget_mb <= 0:
-        raise ValueError("kv_budget_mb must be positive")
-
+    duration, model = params.duration, params.model
+    be_clients = params.be_clients
     workload = get_workload(model)
     config: LlmConfig = getattr(workload, "config", None)
     if config is None:
         raise ValueError(f"workload {model!r} is not an LLM workload; "
                          "kind='llm' scenarios need one (e.g. 'llm-small')")
 
-    testbed = Testbed.build(device, seed, telemetry)
+    testbed = Testbed.build(params.device, params.seed, params.telemetry)
     sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
 
@@ -657,30 +632,31 @@ def _run_llm_scenario(
     # bound must cover a worst-case prompt arriving behind a step.
     prefill_ref = sum(
         solo_duration(s, device_spec)
-        for s in _prefill_specs(config, 1, _bucket(prompt_cap),
+        for s in _prefill_specs(config, 1, _bucket(params.prompt_cap),
                                 Namer(f"{config.name}-ref/prefill")))
     decode_ref = sum(
         solo_duration(s, device_spec)
-        for s in _decode_step_specs(config, 1, _bucket(int(prompt_mean)),
+        for s in _decode_step_specs(config, 1, _bucket(int(params.prompt_mean)),
                                     Namer(f"{config.name}-ref/decode")))
-    ttft_slo = ttft_slo_mult * prefill_ref
+    ttft_slo = params.ttft_slo_mult * prefill_ref
 
     be_plan = None
     if be_clients:
-        testbed.store.add(get_profile(be_model, "training", device_spec))
-        be_plan = build_plan(be_model, "training")
+        testbed.store.add(get_profile(params.be_model, "training",
+                                      device_spec))
+        be_plan = build_plan(params.be_model, "training")
 
-    stack = testbed.gpu(backend, OrionConfig(
+    stack = testbed.gpu(params.backend, OrionConfig(
         fallback_hp_latency=decode_ref,
-        protect_prefill=protect_prefill,
+        protect_prefill=params.protect_prefill,
     ), record_utilization=testbed.tracer.enabled)
     gpu, be_backend = stack.device, stack.backend
 
     # Enforce the KV budget with real memory: reserve everything beyond
     # (weights + best-effort state + budget), so cache growth past the
     # budget faults through the ordinary cudaMalloc OOM path.
-    if kv_budget_mb is not None:
-        budget = int(kv_budget_mb * 2**20)
+    if params.kv_budget_mb is not None:
+        budget = int(params.kv_budget_mb * 2**20)
         resident = FP32_BYTES * config.params
         if be_plan is not None:
             resident += be_clients * be_plan.state_bytes
@@ -690,14 +666,15 @@ def _run_llm_scenario(
 
     engine = ContinuousBatchingEngine(
         sim, stack.ctx("llm", True, "inference"), config, device_spec,
-        PoissonArrivals(request_rate, rng_factory.stream("llm:arrivals")),
+        PoissonArrivals(params.request_rate, rng_factory.stream("llm:arrivals")),
         prompt_rng=rng_factory.stream("llm:prompts"),
         output_rng=rng_factory.stream("llm:outputs"),
-        horizon=duration, max_batch=max_batch,
-        prompt_mean=prompt_mean, prompt_cap=prompt_cap,
-        output_mean=output_mean, output_cap=output_cap,
-        kv_block_tokens=kv_block_tokens, cache_policy=cache_policy,
-        warmup=warmup, ledger=ledger,
+        horizon=duration, max_batch=params.max_batch,
+        prompt_mean=params.prompt_mean, prompt_cap=params.prompt_cap,
+        output_mean=params.output_mean, output_cap=params.output_cap,
+        kv_block_tokens=params.kv_block_tokens,
+        cache_policy=params.cache_policy, warmup=params.warmup,
+        ledger=ledger,
     )
 
     be_jobs: List[TrainingClient] = []
@@ -717,17 +694,17 @@ def _run_llm_scenario(
     sim.run(until=duration)
     ledger.finalize(duration)
 
-    after = warmup
+    after = params.warmup
     ttfts = [r.ttft for r in engine.records
              if r.ttft is not None and r.arrival >= after]
     tpots = [r.tpot for r in engine.records
              if r.tpot is not None and r.arrival >= after]
-    span = max(sim.now - warmup, 1e-12)
+    span = max(sim.now - after, 1e-12)
     total_tokens = engine.decode_tokens + engine.prefill_tokens
 
     return LlmServeResult(
         model=model,
-        backend=backend,
+        backend=params.backend,
         ttft=_summarize(ttfts),
         tpot=_summarize(tpots),
         decode_tokens_per_sec=engine.decode_tokens / span,

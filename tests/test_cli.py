@@ -86,6 +86,11 @@ def test_faults_cli_json_ledger(capsys):
     assert "be-0" in payload["clients"]
 
 
+def test_faults_cli_kill_at_needs_kill():
+    with pytest.raises(SystemExit, match="--kill-at needs --kill"):
+        main(["faults", "--duration", "0.02", "--kill-at", "0.01"])
+
+
 def test_fleet_cli_runs(capsys):
     rc = main(["fleet", "--num-gpus", "2", "--duration", "0.04",
                "--seed", "1", "--crashes", "1", "--degrades", "0"])
@@ -103,8 +108,9 @@ def test_fleet_cli_json_report(capsys, tmp_path):
                "--seed", "1", "--crashes", "1", "--degrades", "0",
                "--json", "--report-out", str(report_path)])
     assert rc == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # stdout is the JSON alone
+    assert f"wrote {report_path}" in captured.err
     assert payload["num_gpus"] == 2
     assert payload["faults"]["crashes"] == 1
     assert "gpu0" in payload["gpus"] and "gpu1" in payload["gpus"]
@@ -119,7 +125,7 @@ def test_fleet_cli_rebalance_runs(capsys, tmp_path):
                "--be-tenants", "1", "--hp-load", "0.15",
                "--be-load", "0.15", "--placement", "adversarial",
                "--rebalance", "--rebalance-interval", "0.02",
-               "--min-gain", "0.01",
+               "--migration-min-gain", "0.01",
                "--migration-report-out", str(mig_path)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -135,6 +141,17 @@ def test_fleet_cli_rejects_rebalance_without_placement():
               "--crashes", "0", "--degrades", "0", "--rebalance"])
 
 
+def test_optional_knob_flags_take_zero_as_none():
+    from repro.cli import _knob_scenario
+
+    args = build_parser().parse_args(["overload", "--deadline-mult", "0",
+                                      "--queue-depth", "0", "--no-guard"])
+    params = _knob_scenario(args, "overload").params
+    assert params["deadline_mult"] is None
+    assert params["queue_depth"] is None
+    assert params["guard"] is False
+
+
 def test_fleet_cli_rebalance_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["fleet", "--help"])
@@ -142,7 +159,7 @@ def test_fleet_cli_rebalance_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--rebalance", "--placement", "--rebalance-interval",
                  "--migration-cooldown", "--max-inflight-migrations",
-                 "--min-gain", "--migration-report-out"):
+                 "--migration-min-gain", "--migration-report-out"):
         assert flag in out, f"{flag} missing from fleet --help"
 
 

@@ -11,10 +11,7 @@ import json
 import pytest
 
 from repro.experiments.scenario import Scenario, run
-from repro.workloads.llmserve import (
-    KvCacheAccounting,
-    _run_llm_scenario,
-)
+from repro.workloads.llmserve import KvCacheAccounting
 
 
 def _llm(**params):
@@ -226,7 +223,8 @@ class TestScenarioContract:
 class TestValidation:
     def test_non_llm_workload_rejected(self):
         with pytest.raises(ValueError, match="not an LLM workload"):
-            _run_llm_scenario(model="resnet50", duration=0.01)
+            run(Scenario(kind="llm", params=dict(model="resnet50",
+                                                 duration=0.01)))
 
     def test_bad_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="backend"):

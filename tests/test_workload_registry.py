@@ -1,11 +1,12 @@
 """Tests for the named workload registry (WorkloadSpec/build_plan)
 and the typed per-kind scenario parameter surfaces."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.params import (
     PARAM_TYPES,
-    FleetParams,
     LlmParams,
     OverloadParams,
     validate_params,
@@ -131,22 +132,63 @@ class TestTypedParams:
         scenario = Scenario(kind="llm", params={"max_batch": 16})
         assert scenario.params == {"max_batch": 16}
 
-    def test_fleet_surface_matches_implementation(self):
-        import inspect
+    def test_rebalance_without_single_home_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="single-home"):
+            Scenario(kind="fleet", params={"rebalance": True})
+        Scenario(kind="fleet", params={"rebalance": True,
+                                       "placement": "plan"})
 
-        from repro.cluster.fleet import _run_fleet_scenario
+    @pytest.mark.parametrize("kind", sorted(PARAM_TYPES))
+    def test_cli_is_generated_from_params(self, kind, monkeypatch, capsys):
+        import repro.cli as cli
+        from repro.experiments.registry import make_scenario
 
-        impl = set(inspect.signature(_run_fleet_scenario).parameters)
-        typed = {f.name for f in
-                 __import__("dataclasses").fields(FleetParams)}
-        assert typed == impl
+        built = []
 
-    def test_llm_surface_matches_implementation(self):
-        import inspect
+        class Built(Exception):
+            pass
 
-        from repro.workloads.llmserve import _run_llm_scenario
+        def capture(scenario):
+            built.append(scenario)
+            raise Built
 
-        impl = set(inspect.signature(_run_llm_scenario).parameters)
-        typed = {f.name for f in
-                 __import__("dataclasses").fields(LlmParams)}
-        assert typed == impl
+        def scenario_of(*flags):
+            monkeypatch.setattr(cli, "run_scenario", capture)
+            with pytest.raises(Built):
+                cli.main([kind, *flags])
+            return built.pop()
+
+        # No flags: exactly the catalog's defaults-only scenario.
+        assert scenario_of() == make_scenario(kind)
+
+        # --help lists a flag for every scalar knob.
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([kind, "--help"])
+        out = capsys.readouterr().out
+        scalars = [f for f in dataclasses.fields(PARAM_TYPES[kind])
+                   if f.name not in ("plan", "tenants", "telemetry")]
+        for f in scalars:
+            assert "--" + f.name.replace("_", "-") in out, f.name
+
+        # Every flag set to a non-default value reaches its field.
+        others = {"model": "llm" if kind == "llm" else "resnet50",
+                  "be_model": "resnet50", "device": "A100-40GB"}
+        for f in scalars:
+            flag = "--" + f.name.replace("_", "-")
+            choices = f.metadata["choices"]
+            if isinstance(f.default, bool):
+                value = not f.default
+                flags = [flag if value else "--no-" + flag[2:]]
+            else:
+                if choices is not None:
+                    value = next(c for c in choices if c != f.default)
+                elif isinstance(f.default, str):
+                    value = others[f.name]
+                elif isinstance(f.default, int):
+                    value = f.default + 1
+                else:
+                    value = 2 * (f.default or 0.25)
+                flags = [flag, str(value)]
+            if f.name == "rebalance":
+                flags += ["--placement", "plan"]
+            assert scenario_of(*flags).params[f.name] == value, f.name
