@@ -8,8 +8,9 @@ What happens:
 
 1. A :class:`ServeServer` starts in-process on an ephemeral TCP port —
    exactly what ``python -m repro serve`` does, minus the signal
-   handlers.  One worker thread executes jobs through the same
-   ``run(scenario)`` entry point the CLI and sweep engine use.
+   handlers.  One worker process executes jobs through the same
+   ``run(scenario)`` entry point the CLI and sweep engine use (a
+   spawned process: keep the ``__main__`` guard in scripts like this).
 2. A :class:`ServeClient` discovers the registry catalog with the
    ``scenarios`` verb, submits a fault-injection job, polls its
    ``QUEUED -> DISPATCHED -> RUNNING -> COMPLETED`` lifecycle, and

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None,
                    help="TCP port (0 = ephemeral); overrides --socket")
     p.add_argument("--workers", type=int, default=2,
-                   help="job worker threads (default 2)")
+                   help="job worker processes (default 2)")
     p.add_argument("--max-pending", type=int, default=16,
                    help="bounded pending-queue depth; submissions past "
                         "it are rejected (default 16)")

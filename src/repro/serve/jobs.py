@@ -110,8 +110,7 @@ class Job:
         #: Cooperative watchdog abort (hang, not a client cancel) — the
         #: worker requeues instead of CANCELING when this fires.
         self.abort_requested = False
-        #: 1-based execution attempt; bumped on every requeue so a
-        #: wedged worker's late outcome is recognizably stale.
+        #: 1-based execution attempt; bumped on every requeue.
         self.attempt = 1
         #: time.monotonic() of the last engine abort-hook poll (the
         #: run's heartbeat); None while not running.

@@ -47,7 +47,8 @@ corruption, not a crash.
 
 **Chaos seams.**  When the ``REPRO_SERVE_KILL_AT`` environment
 variable names an injection point (:data:`KILL_POINTS`), the daemon
-SIGKILLs *itself* at that point — that is how the kill-9 chaos harness
+SIGKILLs *itself* at that point (at ``worker_mid_run``, a worker
+process does, on a job's first attempt) — that is how the chaos harness
 (tests/test_serve_chaos.py, CI ``serve-recovery``) proves the recovery
 invariants without any sleep-and-hope timing.
 """
@@ -70,7 +71,7 @@ __all__ = [
 
 #: SIGKILL injection points understood by the chaos harness.
 KILL_POINTS = ("mid_enqueue", "mid_run", "mid_result_write",
-               "mid_compaction")
+               "mid_compaction", "worker_mid_run")
 
 _KILL_ENV = "REPRO_SERVE_KILL_AT"
 

@@ -1,19 +1,21 @@
 """The always-on scheduler daemon behind ``python -m repro serve``.
 
-A :class:`ServeServer` owns five kinds of threads:
+A :class:`ServeServer` owns five kinds of threads, plus one process per
+worker:
 
 * an **accept loop** on a Unix/TCP listener, spawning one handler
   thread per client connection (NDJSON request/response, see
   :mod:`repro.serve.protocol`);
-* a **worker pool** that pops :class:`~repro.serve.jobs.Job` objects
-  off the bounded :class:`~repro.serve.jobs.PendingQueue` and executes
-  them through the one ``run(scenario)`` entry point — the daemon adds
-  queueing, lifecycle, and cancellation *around* the Scenario
-  machinery, never a second execution path, which is what makes the
-  determinism contract (daemon result byte-identical to a direct run at
-  the same seed) hold by construction;
+* a **worker pool**: each thread pops :class:`~repro.serve.jobs.Job`
+  objects off the bounded :class:`~repro.serve.jobs.PendingQueue` and
+  has its own long-lived worker process execute them through the one
+  ``run(scenario)`` entry point — the daemon adds queueing, lifecycle,
+  and cancellation *around* the Scenario machinery, never a second
+  execution path, which is what makes the determinism contract (daemon
+  result byte-identical to a direct run at the same seed) hold by
+  construction, and no simulation holds the daemon's interpreter lock;
 * a **watchdog** (:mod:`repro.serve.watchdog`) that detects hung
-  running jobs via the abort-hook heartbeat and requeues them with
+  running jobs via their worker's heartbeat and requeues them with
   bounded retries + exponential backoff;
 * a **telemetry ticker** recording periodic snapshots into a ring; and
 * transient **shutdown** threads (signal handlers and the ``shutdown``
@@ -31,22 +33,23 @@ keys survive restarts: a duplicate submit returns the original job id.
 
 Cancellation: queued jobs are pulled straight out of the pending queue;
 dispatched/running jobs get ``cancel_requested`` set, which the worker
-checks before starting and the simulation engine polls every 1024
-events via the thread-local abort hook
-(:func:`repro.sim.engine.set_abort_check`) — the same early-exit shape
-as the client-deregistration drain, applied to the whole run.  The
-same hook doubles as the watchdog heartbeat.
+thread checks before starting and forwards down its process's pipe,
+where the engine abort hook (:func:`repro.sim.engine.set_abort_check`)
+reads it every 1024 events — the same early-exit shape as the
+client-deregistration drain, applied to the whole run.  The same hook
+sends the watchdog heartbeat.
 
 Graceful shutdown (SIGINT/SIGTERM or the ``shutdown`` verb): admission
 closes, queued jobs are canceled, running jobs drain (or are aborted in
 ``mode="now"``), the journal is compacted and closed, the JSON job
-history is persisted atomically, and the process exits 0.
+history is persisted atomically, workers exit, and the process exits 0.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import signal
 import threading
 import time
@@ -158,7 +161,7 @@ class ServeServer:
         self._jobs: Dict[str, Job] = {}
         self._history: List[str] = []
         self._idempotency: Dict[str, str] = {}
-        self._running_ids: set = set()
+        self._running_ids: Dict[str, "_WorkerSlot"] = {}
         self._counters = {key: 0 for key in (
             "submitted", "rejected", "dispatched",
             "completed", "failed", "canceled", "interrupted",
@@ -173,7 +176,6 @@ class ServeServer:
         self._workers_stop = threading.Event()
         self._stopped = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._worker_count = 0
         self._journal: Optional[JobJournal] = None
         self._watchdog: Optional[WorkerWatchdog] = None
         self._started_monotonic = 0.0
@@ -198,8 +200,13 @@ class ServeServer:
                                   name="serve-accept", daemon=True)
         accept.start()
         self._threads.append(accept)
-        for _ in range(self.config.workers):
-            self._spawn_worker()
+        for index in range(self.config.workers):
+            worker = threading.Thread(target=self._worker_loop,
+                                      args=(_WorkerSlot(),),
+                                      name=f"serve-worker-{index}",
+                                      daemon=True)
+            worker.start()
+            self._threads.append(worker)
         if self.config.workers > 0:
             self._watchdog = WorkerWatchdog(self, self.config.watchdog_config())
             self._watchdog.start()
@@ -212,17 +219,6 @@ class ServeServer:
                  self.address, self.config.workers, self.config.max_pending,
                  self.config.journal_path or "off")
         return self.address
-
-    def _spawn_worker(self) -> None:
-        with self._lock:
-            index = self._worker_count
-            self._worker_count += 1
-        worker = threading.Thread(target=self._worker_loop,
-                                  name=f"serve-worker-{index}",
-                                  daemon=True)
-        worker.start()
-        with self._lock:
-            self._threads.append(worker)
 
     def serve_forever(self) -> int:
         """CLI entry: start (if needed), trap SIGINT/SIGTERM into a
@@ -735,17 +731,19 @@ class ServeServer:
     # ------------------------------------------------------------------
     # Workers
 
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.pop(timeout=0.2)
-            if job is None:
-                if self._workers_stop.is_set():
-                    return
-                continue
-            self._execute(job)
+    def _worker_loop(self, slot: "_WorkerSlot") -> None:
+        try:
+            while True:
+                job = self._queue.pop(timeout=0.2)
+                if job is None:
+                    if self._workers_stop.is_set():
+                        return
+                    continue
+                self._execute(job, slot)
+        finally:
+            slot.close()
 
-    def _execute(self, job: Job) -> None:
-        attempt = job.attempt
+    def _execute(self, job: Job, slot: "_WorkerSlot") -> None:
         clock = self._clock()
         # Transition + journal append + counters happen atomically
         # under the server lock at every step, so a concurrent
@@ -764,61 +762,42 @@ class ServeServer:
                 return
             self._journal_transition(job, DISPATCHED, clock, durable=False)
             self._counters["dispatched"] += 1
-            self._running_ids.add(job.job_id)
-        job.last_heartbeat = time.monotonic()
-        with self._lock:
-            clock = self._clock()
-            if job.try_transition(RUNNING, clock=clock):
-                # Durable so --recover=fail can tell "was mid-run" from
-                # "never dispatched" after a crash.
-                self._journal_transition(job, RUNNING, clock, durable=True)
-        maybe_kill("mid_run")
-        started = time.monotonic()
-
-        def heartbeat_abort_check() -> bool:
-            # Called by the engine every 1024 events: one stamp is the
-            # watchdog heartbeat, the return value the cooperative
-            # abort (client cancel or watchdog hang-abort).
-            job.last_heartbeat = time.monotonic()
-            return job.cancel_requested or job.abort_requested
-
-        previous = set_abort_check(heartbeat_abort_check)
-        outcome, error, aborted = None, None, False
+            self._running_ids[job.job_id] = slot
         try:
-            outcome = run_scenario(job.scenario)
-        except RunAborted:
-            aborted = True
-        except Exception as exc:  # noqa: BLE001 — job isolation contract
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            set_abort_check(previous)
-        if job.attempt != attempt:
-            # The watchdog declared this worker wedged and requeued the
-            # job (bumping attempt); whatever we produced is stale.
-            log.warning("%s: discarding stale attempt %d outcome",
-                        job.job_id, attempt)
+            # Spawn and import time never count against hang_timeout.
+            slot.start()
+            job.last_heartbeat = time.monotonic()
+            with self._lock:
+                clock = self._clock()
+                if job.try_transition(RUNNING, clock=clock):
+                    # Durable so --recover=fail can tell "was mid-run"
+                    # from "never dispatched" after a crash.
+                    self._journal_transition(job, RUNNING, clock,
+                                             durable=True)
+            maybe_kill("mid_run")
+            started = time.monotonic()
+            reply = slot.run(job)
+        except (EOFError, OSError):
+            # The process died (killed by the watchdog, or crashed).
+            self._retry(job)
+            slot.close()
             return
-        if aborted and job.abort_requested and not job.cancel_requested:
+        kind = reply[0]
+        if kind == "aborted" and job.abort_requested \
+                and not job.cancel_requested:
             # Watchdog hang-abort, not a client cancel: retry budget.
-            self._requeue_hung(job)
+            self._retry(job)
             return
         paced = True
-        if not aborted and error is None:
-            job.result_json = outcome.to_json()
-            job.events_processed = outcome.events_processed
-            job.sim_time = outcome.sim_time
-            paced = self._pace(outcome.sim_time, started, job)
+        if kind == "done":
+            job.result_json, job.events_processed, job.sim_time = reply[1:]
+            paced = self._pace(job.sim_time, started, job)
         with self._lock:
-            if job.attempt != attempt:
-                # The watchdog force-requeued the job while we paced.
-                log.warning("%s: discarding stale attempt %d outcome",
-                            job.job_id, attempt)
-                return
             clock = self._clock()
-            if aborted:
+            if kind == "aborted":
                 final, err = CANCELED, "canceled while running"
-            elif error is not None:
-                final, err = FAILED, error
+            elif kind == "error":
+                final, err = FAILED, reply[1]
             elif paced:
                 final, err = COMPLETED, None
                 self._journal_result(job)
@@ -852,7 +831,7 @@ class ServeServer:
 
     def _finalize(self, job: Job) -> None:
         with self._lock:
-            self._running_ids.discard(job.job_id)
+            self._running_ids.pop(job.job_id, None)
             if job.terminal and job.job_id not in self._history:
                 self._history.append(job.job_id)
                 self._counters[job.state.lower()] += 1
@@ -877,26 +856,25 @@ class ServeServer:
         accepted once)."""
         self._queue.push(job, force=True)
 
-    def _hang_reason(self, job: Job) -> str:
-        return json.dumps({"reason": "watchdog_hang",
-                           "attempts": job.attempt,
-                           "hang_timeout": self.config.hang_timeout,
-                           "max_retries": self.config.max_retries},
-                          sort_keys=True)
-
-    def _requeue_hung(self, job: Job) -> None:
-        """Cooperative hang path: the run aborted via the engine hook;
-        the worker itself retires or requeues it."""
+    def _retry(self, job: Job) -> None:
+        """The watchdog aborted or killed the hung run, or its worker
+        process died: requeue the job, or fail it past its retries."""
         requeued = False
         with self._lock:
-            self._running_ids.discard(job.job_id)
+            self._running_ids.pop(job.job_id, None)
+            reason = "watchdog_hang" if job.abort_requested \
+                else "worker_died"
             job.abort_requested = False
             job.hang_detected_at = None
             job.last_heartbeat = None
             clock = self._clock()
             if job.attempt > self.config.max_retries:
-                if job.try_transition(FAILED, clock=clock,
-                                      error=self._hang_reason(job)):
+                error = json.dumps({"reason": reason,
+                                    "attempts": job.attempt,
+                                    "hang_timeout": self.config.hang_timeout,
+                                    "max_retries": self.config.max_retries},
+                                   sort_keys=True)
+                if job.try_transition(FAILED, clock=clock, error=error):
                     self._journal_transition(job, FAILED, clock,
                                              durable=True)
                 self._finalize(job)
@@ -913,42 +891,16 @@ class ServeServer:
             else:
                 self._admit_requeued(job)
 
-    def _force_requeue(self, job: Job) -> None:
-        """Forceful hang path: the worker never answered the
-        cooperative abort — presume it wedged, take the job away, and
-        replace the lost worker."""
+    def _kill_worker(self, job: Job) -> None:
+        """Forceful hang path: SIGKILL a worker process that ignored the
+        cooperative abort; its thread sees EOF and retries the job."""
         with self._lock:
-            self._running_ids.discard(job.job_id)
-            clock = self._clock()
-            if job.attempt > self.config.max_retries:
-                if job.try_transition(FAILED, clock=clock,
-                                      error=self._hang_reason(job)):
-                    self._journal_transition(job, FAILED, clock,
-                                             durable=True)
-                    self._finalize(job)
-                    self._spawn_worker()
-                return
-            delay = self.config.watchdog_config().backoff_for(job.attempt)
-            job.abort_requested = False  # the re-run starts clean
-            job.hang_detected_at = None
-            job.last_heartbeat = None
-            # Bumped before the transition: marks the old worker's
-            # eventual outcome as stale.
-            job.attempt += 1
-            if not job.try_transition(QUEUED, clock=clock):
-                # Lost the race with the worker finishing after all.
-                job.attempt -= 1
-                return
-            self._counters["requeued"] += 1
-            self._journal_transition(job, QUEUED, clock, durable=True)
-            log.warning("%s: worker unresponsive; force-requeued "
-                        "(attempt %d) and spawning replacement worker",
-                        job.job_id, job.attempt)
-        if self._watchdog is not None:
-            self._watchdog.schedule_requeue(job, delay)
-        else:
-            self._admit_requeued(job)
-        self._spawn_worker()
+            # Under the lock a listed slot is still on this job's run.
+            slot = self._running_ids.get(job.job_id)
+            if slot is not None and slot.process is not None:
+                log.warning("%s: worker unresponsive; killing it "
+                            "(attempt %d)", job.job_id, job.attempt)
+                slot.process.kill()
 
     # ------------------------------------------------------------------
     # History persistence
@@ -975,6 +927,93 @@ class ServeServer:
         atomic_write_json(self.config.history_path, payload)
         log.info("wrote job history to %s (%d jobs)",
                  self.config.history_path, len(payload["jobs"]))
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+
+class _WorkerSlot:
+    """One worker's process and the daemon's end of its pipe.  It starts
+    on the worker's first job and runs every later one (its profile
+    cache stays warm) until it dies or the daemon shuts down."""
+
+    process = None  # the live worker process, if any
+    _conn = None
+
+    def start(self) -> None:
+        """Start the process unless it is up, and wait until it has
+        imported the simulator; raises EOFError if it dies first."""
+        if self.process is not None:
+            return
+        ctx = multiprocessing.get_context("spawn")  # the daemon has threads
+        self._conn, child_conn = ctx.Pipe()
+        # run_scenario is read here and pickled by name, so a test that
+        # patches it with a module-level fake reaches the process.
+        process = ctx.Process(target=_worker_main,
+                              name=threading.current_thread().name,
+                              args=(child_conn, run_scenario), daemon=True)
+        process.start()
+        self.process = process
+        child_conn.close()
+        self._conn.recv()
+
+    def run(self, job: Job) -> tuple:
+        """Run ``job`` and return the reply, stamping heartbeats and
+        forwarding a cancel or abort; EOFError/OSError if it dies."""
+        self._conn.send((job.scenario, job.attempt))
+        aborting = False
+        while True:
+            if not aborting and (job.cancel_requested or job.abort_requested):
+                self._conn.send(None)
+                aborting = True
+            if self._conn.poll(0.05):
+                reply = self._conn.recv()
+                job.last_heartbeat = time.monotonic()
+                if reply is not None:
+                    return reply
+
+    def close(self) -> None:
+        """EOF on the pipe ends the process; reap it, killed if slow."""
+        if self.process is not None:
+            self._conn.close()
+            self.process.join(5.0)
+            self.process.kill()  # a no-op once it has exited
+            self.process.join()
+            self.process = None
+
+
+def _worker_main(conn, runner) -> None:
+    """A worker process: run each ``(scenario, attempt)`` received and
+    reply ``("done", to_json(), events_processed, sim_time)``,
+    ``("aborted",)`` or ``("error", text)``; exit on EOF.  The abort
+    hook sends heartbeats (``None``); a ``None`` received is an abort."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C: the daemon drains
+
+    def heartbeat_abort_check() -> bool:
+        conn.send(None)
+        return conn.poll()
+
+    set_abort_check(heartbeat_abort_check)
+    try:
+        conn.send(None)  # ready
+        while True:
+            request = conn.recv()
+            if request is None:
+                continue  # an abort that arrived after its run ended
+            scenario, attempt = request
+            if attempt == 1:
+                maybe_kill("worker_mid_run")
+            try:
+                outcome = runner(scenario)
+                reply = ("done", outcome.to_json(),
+                         outcome.events_processed, outcome.sim_time)
+            except RunAborted:
+                reply = ("aborted",)
+            except Exception as exc:  # noqa: BLE001 — job isolation contract
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the daemon closed the pipe, or died
 
 
 # ---------------------------------------------------------------------------

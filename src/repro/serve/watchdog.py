@@ -1,26 +1,26 @@
 """Worker watchdog: heartbeat-based hang detection for running jobs.
 
-Every running job heartbeats through the engine abort hook — the
-simulator polls the hook every 1024 events, and the hook stamps
-``job.last_heartbeat`` before answering, so a healthy run heartbeats
-continuously for free.  A job whose heartbeat goes stale for
-``hang_timeout`` seconds is *hung*: wedged outside the event loop (a
-pathological cost model, a deadlock, a stuck syscall) where no engine
-poll will ever happen.
+Every running job heartbeats through the engine abort hook in its
+worker process — the simulator polls the hook every 1024 events, and
+the hook sends a heartbeat that the worker thread stamps into
+``job.last_heartbeat``, so a healthy run heartbeats continuously for
+free.  A job whose heartbeat goes stale for ``hang_timeout`` seconds is
+*hung*: wedged outside the event loop (a pathological cost model, a
+deadlock, a stuck syscall) where no engine poll will ever happen.
 
 The watchdog escalates in two steps, mirroring the PR-1 supervisor
 shape (detect → cooperative remedy → forceful remedy):
 
-1. **Cooperative abort** — ``job.abort_requested`` is set.  If the run
-   resumes polling, the abort hook answers True, the engine raises
-   ``RunAborted``, and the *worker itself* requeues the job with a
-   bounded retry budget and exponential backoff.
+1. **Cooperative abort** — ``job.abort_requested`` is set and forwarded
+   to the worker process.  If the run resumes polling, the abort hook
+   answers True, the engine raises ``RunAborted``, and the worker
+   thread requeues the job with a bounded retry budget and exponential
+   backoff.
 2. **Forceful requeue** — if the heartbeat is still stale
-   ``abort_grace`` seconds after step 1, the worker thread is presumed
-   wedged: the watchdog requeues (or fails) the job directly, bumps
-   ``job.attempt`` so the wedged worker's eventual outcome is
-   recognizably stale and discarded, and asks the server to spawn a
-   replacement worker so capacity is not silently lost.
+   ``abort_grace`` seconds after step 1, the worker process is presumed
+   wedged and the watchdog SIGKILLs it.  The worker thread sees its
+   pipe reach EOF, requeues (or fails) the job on the same budget, and
+   starts a fresh process for its next job.
 
 Either way a job that hangs past its retry budget terminates FAILED
 with a structured JSON reason (``{"reason": "watchdog_hang", ...}``).
@@ -155,7 +155,7 @@ class WorkerWatchdog:
             elif job.hang_detected_at is not None \
                     and now - job.hang_detected_at > self.config.abort_grace:
                 # Step 2: the worker never responded — presume it
-                # wedged and take the job away from it.
+                # wedged and kill its process.
                 job.hang_detected_at = None
                 self.forced_requeues += 1
-                self._server._force_requeue(job)
+                self._server._kill_worker(job)

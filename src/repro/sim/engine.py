@@ -35,7 +35,7 @@ class RunAborted(SimulationError):
 # Cooperative cancellation for externally-driven runs (the serve
 # daemon's job cancel).  The hook is thread-local because scenario
 # families construct their own Simulator deep inside run(scenario):
-# a worker thread sets the check before calling run(), and every
+# a serve worker process sets the check before calling run(), and every
 # Simulator built on that thread polls it every 1024 events.  Threads
 # that never set a check (every pre-existing caller) pay one hoisted
 # local None-test per event.

@@ -8,7 +8,9 @@ admission-only daemon (``workers=0``: jobs queue but never dispatch).
 """
 
 import json
+import multiprocessing
 import socket
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -26,6 +28,7 @@ from repro.serve import (
     JOB_STATES,
     QUEUED,
     RUNNING,
+    TERMINAL_STATES,
     Job,
     LifecycleError,
     PendingQueue,
@@ -765,3 +768,69 @@ class TestPacing:
                 elapsed = time.monotonic() - start
                 assert final["state"] == COMPLETED
                 assert elapsed >= 0.18
+
+
+# ---------------------------------------------------------------------------
+# Stress: more worker processes than cores
+
+
+#: serve_mix's job kinds (benchmarks/perf/spec.py): name and horizon.
+_MIX_KINDS = (("llm", 0.05), ("faults", 0.05), ("train_train_ref", None),
+              ("inf_train_ref", None))
+
+
+class TestStress:
+    def test_mixed_jobs_and_running_cancels_keep_exact_accounting(self):
+        # Three worker processes (more than a 2-core machine has), 24
+        # mixed jobs, cancels of running jobs interleaved, and a short
+        # switch interval so the daemon's threads interleave finely.
+        cells = [(name, seed, duration) for seed in range(3)
+                 for name, duration in _MIX_KINDS]
+        direct = {cell: run(make_scenario(cell[0], seed=cell[1],
+                                          duration=cell[2])).to_json()
+                  for cell in cells}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve_daemon(workers=3, max_pending=32) as (_, address):
+                with ServeClient(address) as client:
+                    jobs = {client.submit(name=name, seed=seed,
+                                          duration=duration): (name, seed,
+                                                               duration)
+                            for name, seed, duration in cells * 2}
+                    # Every fourth job is an inf_train_ref: cancel each
+                    # once it is seen RUNNING.
+                    targets = set(list(jobs)[3::4])
+                    deadline = time.monotonic() + 120
+                    while targets:
+                        assert time.monotonic() < deadline, targets
+                        for job in list(targets):
+                            state = client.status(job)["state"]
+                            if state == RUNNING:
+                                client.cancel(job)
+                            if state == RUNNING or state in TERMINAL_STATES:
+                                targets.discard(job)
+                        time.sleep(0.005)
+                    records = {job: client.wait(job, timeout=120)
+                               for job in jobs}
+                    counters = client.telemetry()["snapshot"]["counters"]
+                    results = {job: client.result_json(job)
+                               for job, record in records.items()
+                               if record["state"] == COMPLETED}
+        finally:
+            sys.setswitchinterval(previous)
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("serve-worker")]
+        for record in records.values():
+            # Exactly one terminal state, and it is the last transition.
+            terminal = [state for state, _ in record["transitions"]
+                        if state in TERMINAL_STATES]
+            assert terminal == [record["state"]]
+            assert record["transitions"][-1][0] == record["state"]
+        states = [record["state"] for record in records.values()]
+        assert states.count(COMPLETED) + states.count(CANCELED) == len(jobs)
+        assert states.count(CANCELED) >= 1
+        assert counters["completed"] == states.count(COMPLETED)
+        assert counters["canceled"] == states.count(CANCELED)
+        for job, result in results.items():
+            assert result == direct[jobs[job]]

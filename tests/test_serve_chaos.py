@@ -14,6 +14,10 @@ with the chaos env cleared and asserts the recovery invariants:
   ``result_json`` equals a direct in-process ``run(scenario)`` at the
   same seed, byte for byte.
 
+The same three invariants hold when a *worker process* dies under a
+live daemon (``worker_mid_run``), and a daemon that dies takes its
+worker processes with it: they see EOF on their pipe and exit.
+
 The in-process recovery-policy unit tests live in
 tests/test_serve_journal.py; this file is only the full-process
 crash loop.
@@ -39,8 +43,13 @@ SRC = os.path.join(REPO_ROOT, "src")
 DIRECT_RESULT = run(make_scenario("faults", seed=0, duration=0.05)).to_json()
 
 
+def _direct(seed):
+    return run(make_scenario("faults", seed=seed, duration=0.05)).to_json()
+
+
 def _spawn(tmp_path, *extra, kill_at=None, workers=1):
-    """Start a daemon subprocess on a tmp unix socket + journal."""
+    """Start a daemon subprocess on a tmp unix socket + journal, in a
+    process group of its own that its worker processes share."""
     sock = tmp_path / "serve.sock"
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -52,7 +61,7 @@ def _spawn(tmp_path, *extra, kill_at=None, workers=1):
          "--socket", str(sock), "--journal", str(tmp_path / "wal.ndjson"),
          "--workers", str(workers), "--telemetry-interval", "0",
          *extra],
-        env=env, cwd=REPO_ROOT,
+        env=env, cwd=REPO_ROOT, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return proc, f"unix:{sock}"
 
@@ -66,6 +75,31 @@ def _reap(proc):
 def _wait_sigkilled(proc, timeout=60.0):
     """The daemon must die by its own SIGKILL within ``timeout``."""
     assert proc.wait(timeout=timeout) == -signal.SIGKILL
+
+
+def _group_members(pgid):
+    """Pids of the live (not zombie) processes in process group
+    ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, group = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue  # exited while we looked
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _wait_group_empty(pgid, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while _group_members(pgid):
+        assert time.monotonic() < deadline, \
+            f"orphaned processes {_group_members(pgid)} outlived the daemon"
+        time.sleep(0.05)
 
 
 def _all_job_ids(client):
@@ -230,5 +264,62 @@ def test_client_submit_reconnects_across_restart(tmp_path):
                 time.sleep(0.1)
         assert again == job
         client.close()
+    finally:
+        _reap(proc)
+
+
+def test_worker_process_killed_mid_run_none_lost_none_duplicated(tmp_path):
+    # Every worker process SIGKILLs itself on a job's first attempt.
+    # The daemon sees EOF on the pipe, requeues the job within its
+    # retry budget, and runs the retry in a fresh worker process.
+    proc, address = _spawn(tmp_path, kill_at="worker_mid_run", workers=2)
+    seeds = (0, 1, 2)
+    try:
+        client = ServeClient.connect_retry(address, timeout=30)
+        with client:
+            jobs = {seed: client.submit(name="faults", seed=seed,
+                                        duration=0.05,
+                                        idempotency_key=f"worker-{seed}")
+                    for seed in seeds}
+            for seed, job in jobs.items():
+                record = client.wait(job, timeout=120)
+                assert record["state"] == "COMPLETED", record
+                assert record["attempt"] == 2
+                assert client.result_json(job) == _direct(seed)
+            # No job lost, none duplicated.
+            assert _all_job_ids(client) == set(jobs.values())
+            for seed, job in jobs.items():
+                assert client.submit(name="faults", seed=seed,
+                                     duration=0.05,
+                                     idempotency_key=f"worker-{seed}") == job
+            counters = client.telemetry()["snapshot"]["counters"]
+            assert counters["submitted"] == len(seeds)
+            assert counters["completed"] == len(seeds)
+            assert counters["requeued"] == len(seeds)
+        assert proc.poll() is None  # the daemon outlived its workers
+    finally:
+        _reap(proc)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize("kill_at", ["mid_run", None])
+def test_daemon_killed_leaves_no_orphan_workers(tmp_path, kill_at):
+    # mid_run: the daemon SIGKILLs itself with its worker process idle
+    # and just started.  None: it is SIGKILLed from outside while the
+    # worker is deep in a run, which notices at its next heartbeat.
+    proc, address = _spawn(tmp_path, kill_at=kill_at, workers=2)
+    try:
+        client = ServeClient.connect_retry(address, timeout=30)
+        with client:
+            job = client.submit(name="overload", duration=2.0)
+            if kill_at is None:
+                while client.status(job)["state"] != "RUNNING":
+                    time.sleep(0.02)
+                time.sleep(0.3)
+                # The group holds the daemon and its worker(s).
+                assert len(_group_members(proc.pid)) >= 2
+                proc.kill()
+        _wait_sigkilled(proc)
+        _wait_group_empty(proc.pid)
     finally:
         _reap(proc)

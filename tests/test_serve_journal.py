@@ -8,8 +8,9 @@ that crashes a live daemon lives in tests/test_serve_chaos.py.
 """
 
 import json
+import multiprocessing
 import os
-import threading
+import signal
 import time
 from contextlib import contextmanager
 
@@ -505,21 +506,58 @@ def _hang_then_finish(hang_for):
     return fake
 
 
+# The daemon runs jobs in spawned worker processes, which pickle the
+# patched ``run_scenario`` by name: the fakes below must be module-level,
+# and they count their calls in a file (named by this environment
+# variable, which the workers inherit) so the count spans processes.
+_CALLS_ENV = "REPRO_TEST_RUN_CALLS"
+
+
+def _count_call():
+    path = os.environ[_CALLS_ENV]
+    with open(path, "ab") as fh:
+        fh.write(b"x")
+    return os.path.getsize(path)
+
+
+def _hang_once(scenario):
+    """The first call hangs, then answers the abort; later calls run."""
+    if _count_call() == 1:
+        return _hang_then_finish(0.5)(scenario)
+    return run(scenario)
+
+
+def _always_hang(scenario):
+    return _hang_then_finish(0.3)(scenario)
+
+
+def _wedge_once(scenario):
+    """The first call wedges without ever polling the abort hook, so
+    only a kill ends it; later calls run."""
+    if _count_call() == 1:
+        time.sleep(60)
+    return run(scenario)
+
+
+def _worker_process(timeout=30.0):
+    """The daemon's (single) live worker process."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        workers = [p for p in multiprocessing.active_children()
+                   if p.name.startswith("serve-worker")]
+        if workers:
+            return workers[0]
+        time.sleep(0.01)
+    raise AssertionError("no worker process started")
+
+
 class TestWatchdog:
     def test_hung_job_is_aborted_requeued_and_completes(self, tmp_path,
                                                         monkeypatch):
         import repro.serve.server as server_mod
 
-        real_run = server_mod.run_scenario
-        calls = {"n": 0}
-
-        def flaky(scenario):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return _hang_then_finish(0.5)(scenario)
-            return real_run(scenario)
-
-        monkeypatch.setattr(server_mod, "run_scenario", flaky)
+        monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
+        monkeypatch.setattr(server_mod, "run_scenario", _hang_once)
         with serve_daemon(workers=1, hang_timeout=0.2, abort_grace=5.0,
                           max_retries=2,
                           retry_backoff=0.01) as (server, address):
@@ -539,8 +577,7 @@ class TestWatchdog:
     def test_always_hanging_job_fails_structured(self, monkeypatch):
         import repro.serve.server as server_mod
 
-        monkeypatch.setattr(server_mod, "run_scenario",
-                            lambda scenario: _hang_then_finish(0.3)(scenario))
+        monkeypatch.setattr(server_mod, "run_scenario", _always_hang)
         with serve_daemon(workers=1, hang_timeout=0.1, abort_grace=5.0,
                           max_retries=1,
                           retry_backoff=0.01) as (server, address):
@@ -553,41 +590,34 @@ class TestWatchdog:
                 assert reason["attempts"] == 2  # 1 + max_retries
                 assert reason["max_retries"] == 1
 
-    def test_forced_requeue_discards_stale_worker_outcome(self, monkeypatch):
+    def test_forced_requeue_discards_stale_worker_outcome(self, tmp_path,
+                                                          monkeypatch):
         import repro.serve.server as server_mod
 
-        release = threading.Event()
-        real_run = server_mod.run_scenario
-        calls = {"n": 0}
-
-        def wedged_then_fine(scenario):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                # Wedge past hang_timeout + abort_grace WITHOUT ever
-                # polling the hook: only the forceful path can requeue.
-                release.wait(30)
-                return real_run(scenario)
-            return real_run(scenario)
-
-        monkeypatch.setattr(server_mod, "run_scenario", wedged_then_fine)
-        try:
-            with serve_daemon(workers=1, hang_timeout=0.15, abort_grace=0.15,
-                              max_retries=2, retry_backoff=0.01,
-                              drain_timeout=10.0) as (server, address):
-                with ServeClient(address) as client:
-                    job = client.submit(name="faults", duration=0.05)
-                    record = client.wait(job, timeout=60)
-                    assert record["state"] == COMPLETED
-                    assert record["attempt"] == 2
-                    direct = run(make_scenario("faults", seed=0,
-                                               duration=0.05)).to_json()
-                    assert client.result_json(job) == direct
-                    snapshot = client.telemetry()["snapshot"]
-                    assert snapshot["watchdog"]["forced_requeues"] >= 1
-                    # The wedged worker's late outcome must not have
-                    # overwritten the replacement's COMPLETED state.
-                    release.set()
-                    time.sleep(0.2)
-                    assert client.status(job)["state"] == COMPLETED
-        finally:
-            release.set()
+        # The first attempt wedges past hang_timeout + abort_grace
+        # WITHOUT ever polling the hook: only the forceful path (a
+        # SIGKILL of its worker process) can requeue it.
+        monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
+        monkeypatch.setattr(server_mod, "run_scenario", _wedge_once)
+        with serve_daemon(workers=1, hang_timeout=0.15, abort_grace=0.15,
+                          max_retries=2, retry_backoff=0.01,
+                          drain_timeout=10.0) as (server, address):
+            with ServeClient(address) as client:
+                job = client.submit(name="faults", duration=0.05)
+                wedged = _worker_process()
+                record = client.wait(job, timeout=60)
+                assert record["state"] == COMPLETED
+                assert record["attempt"] == 2
+                direct = run(make_scenario("faults", seed=0,
+                                           duration=0.05)).to_json()
+                assert client.result_json(job) == direct
+                snapshot = client.telemetry()["snapshot"]
+                assert snapshot["watchdog"]["forced_requeues"] >= 1
+                # The wedged worker was killed, not left to finish: it
+                # can never deliver a late outcome over the replacement's
+                # COMPLETED state.
+                wedged.join(timeout=10)
+                assert not wedged.is_alive()
+                assert wedged.exitcode == -signal.SIGKILL
+                time.sleep(0.2)
+                assert client.status(job)["state"] == COMPLETED
