@@ -12,13 +12,16 @@ by roughly what factor) is asserted where the paper makes a claim.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
+from repro.experiments.params import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenario import Scenario, run as run_scenario
+from repro.telemetry.tracer import TelemetryConfig
 
 __all__ = [
     "run_cell",
@@ -49,10 +52,12 @@ _RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
                                    Path(__file__).resolve().parent / "results"))
 
 
-def run_cell(config) -> ExperimentResult:
+def run_cell(params: ExperimentParams,
+             telemetry: Optional[TelemetryConfig] = None) -> ExperimentResult:
     """Run one experiment cell with the benchmark-wide warmup."""
-    config.warmup = WARMUP
-    return run_scenario(Scenario(kind="experiment", experiment=config)).result
+    params = dataclasses.replace(params, warmup=WARMUP)
+    return run_scenario(Scenario(kind="experiment", params=params,
+                                 telemetry=telemetry)).result
 
 
 def ms(seconds: float) -> float:

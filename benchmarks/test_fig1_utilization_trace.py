@@ -11,7 +11,7 @@ import numpy as np
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.tables import format_series
 from repro.metrics.utilization import average_utilization, binned_trace
 
@@ -21,7 +21,7 @@ BATCH_SIZE = 96  # the paper's Figure 1 setup
 def reproduce_fig1():
     job = JobSpec(model="mobilenet_v2", kind="training", high_priority=True,
                   batch_size=BATCH_SIZE)
-    config = ExperimentConfig(jobs=[job], backend="ideal", duration=1.5,
+    config = ExperimentParams(jobs=[job], backend="ideal", duration=1.5,
                               record_utilization=True)
     result = run_cell(config)
     segments = result.utilization_segments

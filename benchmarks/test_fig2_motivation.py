@@ -10,7 +10,7 @@ serves the HP job but barely runs the BE job; Orion closes the gap.
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.tables import format_table
 from repro.experiments.runner import solo_throughput
 
@@ -41,7 +41,7 @@ def run_pair(pair, backend):
     if backend == "orion" and pair[0].endswith(":training"):
         # §5.1.1: throughput-oriented HP jobs raise SM_THRESHOLD.
         orion_kwargs = {"sm_threshold": 160}
-    config = ExperimentConfig(jobs=[hp, be], backend=backend, duration=2.5,
+    config = ExperimentParams(jobs=[hp, be], backend=backend, duration=2.5,
                               orion=orion_kwargs)
     result = run_cell(config)
     return result.hp_job.throughput, result.be_jobs()[0].throughput

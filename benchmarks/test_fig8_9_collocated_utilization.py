@@ -10,7 +10,7 @@ utilization 10% -> 47% in the paper.
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.registry import solo_inference_config
 from repro.experiments.tables import format_series
 from repro.metrics.utilization import binned_trace
@@ -28,7 +28,7 @@ def measure_collocated():
     hp = JobSpec(model="resnet50", kind="inference", high_priority=True,
                  arrivals="uniform", rps=RPS)
     be = JobSpec(model="resnet50", kind="training")
-    config = ExperimentConfig(jobs=[hp, be], backend="orion", duration=2.0,
+    config = ExperimentParams(jobs=[hp, be], backend="orion", duration=2.0,
                               record_utilization=True)
     return run_cell(config)
 

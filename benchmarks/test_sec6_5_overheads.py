@@ -9,7 +9,7 @@ import time
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.runner import get_profile
 from repro.experiments.tables import format_table
 from repro.gpu.specs import V100_16GB
@@ -19,7 +19,7 @@ from repro.workloads.models import MODEL_NAMES
 def run_solo(model, kind, backend):
     job = JobSpec(model=model, kind=kind, high_priority=True,
                   arrivals="closed")
-    config = ExperimentConfig(jobs=[job], backend=backend, duration=1.5)
+    config = ExperimentParams(jobs=[job], backend=backend, duration=1.5)
     result = run_cell(config)
     records = result.hp_job.stats.records
     assert records, f"{model}:{kind} produced no records under {backend}"

@@ -8,7 +8,7 @@ capacity utilization next to the paper's measured values.
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.tables import format_table
 from repro.gpu.specs import V100_16GB
 from repro.workloads.models import MODEL_NAMES
@@ -33,7 +33,7 @@ def measure(model: str, kind: str):
     # requests/iterations back to back — a closed loop for both kinds.
     job = JobSpec(model=model, kind=kind, high_priority=True,
                   arrivals="closed")
-    config = ExperimentConfig(jobs=[job], backend="ideal", duration=2.0,
+    config = ExperimentParams(jobs=[job], backend="ideal", duration=2.0,
                               record_utilization=True)
     result = run_cell(config)
     util = result.utilization

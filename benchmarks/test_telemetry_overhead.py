@@ -18,7 +18,7 @@ import tracemalloc
 
 from bench_common import run_cell, save_result
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.tables import format_table
 from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
 
@@ -28,9 +28,8 @@ WORKLOADS = (("resnet50", "inference"), ("mobilenet_v2", "training"))
 def run_solo(model, kind, backend, tracing=False):
     job = JobSpec(model=model, kind=kind, high_priority=True,
                   arrivals="closed")
-    config = ExperimentConfig(jobs=[job], backend=backend, duration=1.5,
-                              telemetry=TelemetryConfig(tracing=tracing))
-    result = run_cell(config)
+    config = ExperimentParams(jobs=[job], backend=backend, duration=1.5)
+    result = run_cell(config, TelemetryConfig(tracing=tracing))
     records = result.hp_job.stats.records
     assert records, f"{model}:{kind} produced no records under {backend}"
     spans = [r.service_time for r in records]

@@ -23,7 +23,7 @@ def main() -> None:
         config = inf_inf_config("resnet101", "resnet50", backend,
                                 arrivals="apollo", duration=3.0)
         result = run_scenario(
-            Scenario(kind="experiment", experiment=config)).result
+            Scenario(kind="experiment", params=config)).result
         hp = result.hp_job
         be = result.be_jobs()[0]
         if backend == "ideal":

@@ -27,7 +27,7 @@ def main() -> None:
         config = multi_client_config(hp_model, be_models, backend,
                                      device="A100-40GB", duration=3.0)
         results[backend] = run_scenario(
-            Scenario(kind="experiment", experiment=config)).result
+            Scenario(kind="experiment", params=config)).result
         print(f"[{backend}] done")
 
     ideal_p99 = results["ideal"].hp_job.latency.p99

@@ -18,7 +18,7 @@ What happens:
 """
 
 from repro.experiments import (
-    ExperimentConfig,
+    ExperimentParams,
     JobSpec,
     Scenario,
     run_scenario,
@@ -29,7 +29,7 @@ from repro.metrics.cost import cost_savings
 
 def run_experiment(config):
     return run_scenario(
-        Scenario(kind="experiment", experiment=config)).result
+        Scenario(kind="experiment", params=config)).result
 
 
 def main() -> None:
@@ -39,11 +39,11 @@ def main() -> None:
 
     print("running Orion collocation (1 GPU) ...")
     orion = run_experiment(
-        ExperimentConfig(jobs=[hp, be], backend="orion", duration=3.0)
+        ExperimentParams(jobs=[hp, be], backend="orion", duration=3.0)
     )
     print("running Ideal baseline (2 dedicated GPUs) ...")
     ideal = run_experiment(
-        ExperimentConfig(jobs=[hp, be], backend="ideal", duration=3.0)
+        ExperimentParams(jobs=[hp, be], backend="ideal", duration=3.0)
     )
 
     orion_hp, ideal_hp = orion.hp_job, ideal.hp_job

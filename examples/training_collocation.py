@@ -84,7 +84,7 @@ def main() -> None:
         config = train_train_config(HP_MODEL, BE_MODEL, backend,
                                     duration=4.0, orion=orion_kwargs)
         result = run_scenario(
-            Scenario(kind="experiment", experiment=config)).result
+            Scenario(kind="experiment", params=config)).result
         rows.append([backend, f"{result.hp_job.throughput:.2f}",
                      f"{result.be_jobs()[0].throughput:.2f}"])
     print(format_table(["backend", "HP it/s", "BE it/s"], rows))

@@ -6,7 +6,7 @@ Public entry points:
 
 * :mod:`repro.core` — the Orion scheduler.
 * :mod:`repro.baselines` — temporal, Streams, MPS, REEF-N, Tick-Tock, Ideal.
-* :mod:`repro.experiments` — configs, the ``Scenario`` API and the
+* :mod:`repro.experiments` — scenario params, the ``Scenario`` API and the
   simulated testbed behind every paper table/figure.
 * :mod:`repro.workloads` — the five DNN models, arrival processes, clients.
 * :mod:`repro.gpu` / :mod:`repro.sim` — the simulated device substrate.
@@ -15,12 +15,12 @@ Public entry points:
 __version__ = "1.0.0"
 
 from repro.core import OrionBackend, OrionConfig
-from repro.experiments import ExperimentConfig, JobSpec, Scenario, run_scenario
+from repro.experiments import ExperimentParams, JobSpec, Scenario, run_scenario
 
 __all__ = [
     "OrionBackend",
     "OrionConfig",
-    "ExperimentConfig",
+    "ExperimentParams",
     "JobSpec",
     "Scenario",
     "run_scenario",

@@ -6,6 +6,7 @@
     python -m repro inf-inf    --hp resnet101 --be resnet50 --arrivals apollo
     python -m repro fleet      --num-gpus 16 --crashes 2 --degrades 1
     python -m repro llm        --backend orion --request-rate 80
+    python -m repro trace      llm_ref --duration 0.1 --out llm.trace.json
     python -m repro sweep      --scenarios overload_ref --seeds 0,1,2,3
     python -m repro bench      --smoke
     python -m repro profile    --model bert --kind inference
@@ -16,11 +17,13 @@
     python -m repro cancel     job-0001
 
 Every run subcommand builds a :class:`repro.experiments.scenario.Scenario`
-and executes it through the one ``run(scenario)`` entry point; the
-``faults``/``fleet``/``overload``/``llm`` flags are generated from the
-kind's params dataclass (:mod:`repro.experiments.params`).  Prints
-the per-job latency/throughput summary as a table; ``--json`` emits
-machine-readable results instead.
+through ``make_scenario`` and executes it through the one
+``run(scenario)`` entry point; each kind's flags are generated from its
+params dataclass (:mod:`repro.experiments.params`), so a flagless run
+is the catalog entry of the same name.  ``trace``, like ``submit``,
+takes any catalog name with ``--seed``/``--duration``/``--set``.
+Prints the per-job latency/throughput summary as a table; ``--json``
+emits machine-readable results instead.
 """
 
 from __future__ import annotations
@@ -31,13 +34,8 @@ import json
 import sys
 import typing
 
-from repro.experiments.registry import (
-    inf_inf_config,
-    inf_train_config,
-    make_scenario,
-    train_train_config,
-)
-from repro.experiments.params import EXPERIMENT_BACKENDS, PARAM_TYPES
+from repro.experiments.registry import make_scenario
+from repro.experiments.params import PARAM_TYPES
 from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run as run_scenario
 from repro.experiments.tables import format_table
@@ -68,8 +66,8 @@ def _add_knob_flags(parser: argparse.ArgumentParser, kind: str) -> None:
     """One ``--kebab-name`` flag per scalar field of ``PARAM_TYPES[kind]``.
 
     Type, default, choices and help come from the dataclass field.
-    Object knobs (``plan``, ``tenants``, ``telemetry``) get no flag;
-    fleet's ``placement`` (a name or, in code, a mapping) gets its
+    Object knobs (``plan``, ``tenants``, ``jobs``, ``orion``) get no
+    flag; fleet's ``placement`` (a name or, in code, a mapping) gets its
     named choices.
     """
     cls = PARAM_TYPES[kind]
@@ -100,18 +98,34 @@ def _add_knob_flags(parser: argparse.ArgumentParser, kind: str) -> None:
             action.help += f" ({note}default: %(default)s)"
 
 
-def _knob_scenario(args, kind: str, **objects) -> Scenario:
-    """``kind``'s scenario from its generated flags (plus any object
-    knobs), built through ``make_scenario`` like ``submit`` and the
-    sweep; only knobs that differ from the dataclass default become
-    overrides, so no flags at all gives ``make_scenario(kind)``."""
-    cls = PARAM_TYPES[kind]
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-              if hasattr(args, f.name)}
-    overrides = cls(**values, **objects).to_params()
-    return make_scenario(kind, seed=overrides.pop("seed", 0),
+def _knob_scenario(args, kind: str, name: str = "",
+                   **objects) -> Scenario:
+    """Catalog entry ``name`` (default ``kind``) from the kind's
+    generated flags plus any other overrides, built through
+    ``make_scenario`` like ``submit`` and the sweep; only knobs that
+    differ from the dataclass default become overrides, so no flags at
+    all gives ``make_scenario(name)``."""
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(PARAM_TYPES[kind])
+                 if getattr(args, f.name, f.default) != f.default}
+    overrides.update(objects)
+    return make_scenario(name or kind, seed=overrides.pop("seed", 0),
                          duration=overrides.pop("duration", None),
                          **overrides)
+
+
+def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+    """The catalog-scenario surface ``submit`` and ``trace`` share."""
+    parser.add_argument("scenario",
+                        help="registry scenario name (see 'repro scenarios')")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--duration", type=float, default=None,
+                        help="simulated seconds (default: the catalog "
+                             "horizon)")
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VAL",
+                        help="scenario override (repeatable); values parse "
+                             "as JSON, falling back to strings")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,35 +135,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--hp", required=True, choices=MODEL_NAMES,
-                       help="high-priority model")
-        p.add_argument("--be", required=True, choices=MODEL_NAMES,
-                       help="best-effort model")
-        p.add_argument("--backend", default="orion",
-                       choices=EXPERIMENT_BACKENDS,
-                       help="sharing technique")
-        p.add_argument("--duration", type=float, default=3.0,
-                       help="simulated seconds (default 3.0)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
+    experiments = (
+        ("inf-train", "HP inference + BE training (§6.2.1)",
+         ("poisson", "apollo")),
+        ("train-train", "HP training + BE training (§6.2.2)", None),
+        ("inf-inf", "HP inference + BE inference (§6.2.3)",
+         ("apollo", "poisson")),
+    )
+    for command, text, arrivals in experiments:
+        p = sub.add_parser(command, help=text)
+        # The catalog builder args; every other flag is a knob.
+        p.add_argument("--hp", choices=MODEL_NAMES,
+                       help="high-priority model (default: the catalog's)")
+        p.add_argument("--be", choices=MODEL_NAMES,
+                       help="best-effort model (default: the catalog's)")
+        if arrivals:
+            p.add_argument("--arrivals", choices=arrivals,
+                           help=f"HP arrival process (default: {arrivals[0]})")
+        else:  # closed-loop HP training raises SM_THRESHOLD (§5.1.1)
+            p.add_argument("--sm-threshold", type=int, default=None,
+                           help="override SM_THRESHOLD (orion only)")
+        _add_knob_flags(p, "experiment")
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of a table")
-
-    p = sub.add_parser("inf-train", help="HP inference + BE training (§6.2.1)")
-    add_common(p)
-    p.add_argument("--arrivals", default="poisson",
-                   choices=("poisson", "apollo"))
-
-    p = sub.add_parser("train-train", help="HP training + BE training (§6.2.2)")
-    add_common(p)
-    p.add_argument("--sm-threshold", type=int, default=None,
-                   help="override SM_THRESHOLD (orion only)")
-
-    p = sub.add_parser("inf-inf", help="HP inference + BE inference (§6.2.3)")
-    add_common(p)
-    p.add_argument("--arrivals", default="apollo",
-                   choices=("apollo", "poisson"))
 
     p = sub.add_parser("faults",
                        help="fault-injection demo: kill clients mid-run, "
@@ -191,11 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the canonical scenario JSON")
 
     p = sub.add_parser("trace",
-                       help="run a scenario with the tracer on; write the "
-                            "Chrome trace-event JSON (view in Perfetto)")
-    p.add_argument("scenario",
-                   choices=("overload", "inf-train", "train-train", "inf-inf"),
-                   help="which scenario to trace")
+                       help="run any catalog scenario with the tracer on; "
+                            "write the Chrome trace-event JSON (view in "
+                            "Perfetto)")
+    _add_scenario_args(p)
     p.add_argument("--out", required=True,
                    help="Chrome trace-event JSON output path")
     p.add_argument("--metrics-out", default=None,
@@ -203,16 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribution-out", default=None,
                    help="also write the per-request queue-delay attribution "
                         "report JSON here")
-    p.add_argument("--hp", default="resnet50", choices=MODEL_NAMES,
-                   help="high-priority model (experiment scenarios)")
-    p.add_argument("--be", default="mobilenet_v2", choices=MODEL_NAMES,
-                   help="best-effort model (experiment scenarios)")
-    p.add_argument("--backend", default="orion", choices=EXPERIMENT_BACKENDS,
-                   help="sharing technique (experiment scenarios)")
-    p.add_argument("--duration", type=float, default=0.4,
-                   help="simulated seconds (default 0.4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--device", default="V100-16GB", choices=sorted(DEVICES))
     p.add_argument("--capacity", type=int, default=1 << 16,
                    help="tracer ring-buffer capacity in events")
     p.add_argument("--engine-events", action="store_true",
@@ -330,16 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit",
                        help="submit a job to a running serve daemon")
     add_address(p)
-    p.add_argument("scenario",
-                   help="registry scenario name (see 'repro scenarios')")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated-seconds override")
+    _add_scenario_args(p)
     p.add_argument("--priority", type=int, default=0,
                    help="queue priority (higher dispatches first)")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
-                   help="scenario override (repeatable); values parse "
-                        "as JSON, falling back to strings")
     p.add_argument("--key", default=None, metavar="KEY",
                    help="idempotency key: re-submitting the same key "
                         "returns the original job id (survives daemon "
@@ -373,27 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_scenario(args) -> Scenario:
-    if args.command == "inf-train":
-        config = inf_train_config(args.hp, args.be, args.backend,
-                                  arrivals=args.arrivals,
-                                  duration=args.duration, seed=args.seed,
-                                  device=args.device)
-    elif args.command == "train-train":
-        orion = {}
-        if args.sm_threshold is not None:
-            orion["sm_threshold"] = args.sm_threshold
-        config = train_train_config(args.hp, args.be, args.backend,
-                                    duration=args.duration, seed=args.seed,
-                                    device=args.device, orion=orion)
-    elif args.command == "inf-inf":
-        config = inf_inf_config(args.hp, args.be, args.backend,
-                                arrivals=args.arrivals,
-                                duration=args.duration, seed=args.seed,
-                                device=args.device)
-    else:
-        raise ValueError(f"unhandled command {args.command!r}")
-    return Scenario(kind="experiment", name=args.command, experiment=config)
+def _run_experiment(args) -> None:
+    overrides = {key: getattr(args, key) for key in ("hp", "be", "arrivals")
+                 if getattr(args, key, None) is not None}
+    if getattr(args, "sm_threshold", None) is not None:
+        overrides["orion"] = {"sm_threshold": args.sm_threshold}
+    scenario = _knob_scenario(args, "experiment", args.command, **overrides)
+    _print_experiment(run_scenario(scenario).result, args.json)
 
 
 def _print_experiment(result, as_json: bool) -> None:
@@ -409,6 +385,8 @@ def _print_experiment(result, as_json: bool) -> None:
             for name, job in result.jobs.items()
         }
         payload["backend_stats"] = result.backend_stats
+        if result.utilization is not None:
+            payload["utilization"] = dataclasses.asdict(result.utilization)
         print(json.dumps(payload, indent=1, default=float))
         return
     rows = []
@@ -421,6 +399,10 @@ def _print_experiment(result, as_json: bool) -> None:
             f"{job.throughput:.2f}",
         ])
     print(format_table(["job", "role", "p50 (ms)", "p99 (ms)", "tput/s"], rows))
+    if result.utilization is not None:
+        util = result.utilization
+        print(f"utilization: compute {util.compute:.1%}   "
+              f"memory {util.memory_bw:.1%}   sm {util.sm_busy:.1%}")
     if result.backend_stats:
         print(f"scheduler: {result.backend_stats}")
 
@@ -595,39 +577,25 @@ def _run_trace(args) -> None:
         format_attribution_table,
     )
 
-    tcfg = TelemetryConfig(tracing=True, capacity=args.capacity,
-                           engine_events=args.engine_events)
-    if args.scenario == "overload":
-        scenario = Scenario(kind="overload", name="trace:overload",
-                            params=dict(seed=args.seed,
-                                        duration=args.duration,
-                                        device=args.device, telemetry=tcfg))
-    else:
-        import dataclasses
-
-        maker = {"inf-train": inf_train_config,
-                 "train-train": train_train_config,
-                 "inf-inf": inf_inf_config}[args.scenario]
-        # Build at the registry defaults, then rescale: the registry
-        # hardcodes a 0.5 s warmup, which would reject short traces.
-        config = maker(args.hp, args.be, args.backend, seed=args.seed,
-                       device=args.device)
-        config = dataclasses.replace(
-            config, duration=args.duration,
-            warmup=min(config.warmup, args.duration / 4),
-            telemetry=tcfg, record_utilization=True)
-        scenario = Scenario(kind="experiment",
-                            name=f"trace:{args.scenario}", experiment=config)
-    result = run_scenario(scenario).result
-    tracer, metrics = result.tracer, result.metrics
-    segments = result.utilization_segments
+    overrides = dict(_parse_override(item) for item in args.set)
+    try:
+        scenario = make_scenario(args.scenario, seed=args.seed,
+                                 duration=args.duration, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    telemetry = TelemetryConfig(tracing=True, capacity=args.capacity,
+                                engine_events=args.engine_events)
+    traced = run_scenario(dataclasses.replace(scenario, telemetry=telemetry))
+    tracer, result = traced.tracer, traced.result
+    # A fleet has no single device, so no utilization counters.
+    segments = getattr(result, "utilization_segments", None)
     with open(args.out, "w") as fh:
         fh.write(export_chrome_trace(tracer, utilization_segments=segments))
     print(f"wrote {args.out}  ({len(tracer)} events, "
           f"{tracer.dropped} dropped)")
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            fh.write(metrics.to_json())
+            fh.write(result.metrics.to_json())
         print(f"wrote {args.metrics_out}")
     if args.attribution_out:
         with open(args.attribution_out, "w") as fh:
@@ -698,14 +666,8 @@ def _run_scenarios(args) -> None:
         return
     rows = []
     for name, entry in catalog.items():
-        params = entry["params"]
-        if entry["kind"] == "experiment":
-            summary = (f"{params['backend']} {'+'.join(params['jobs'])} "
-                       f"duration={params['duration']:g}s")
-        else:
-            summary = " ".join(f"{k}={v}" for k, v in params.items()) \
-                or "(defaults)"
-        rows.append([name, entry["kind"], summary])
+        summary = " ".join(f"{k}={v}" for k, v in entry["params"].items())
+        rows.append([name, entry["kind"], summary or "(defaults)"])
     print(format_table(["scenario", "kind", "key params"], rows))
 
 
@@ -899,8 +861,7 @@ def main(argv=None) -> int:
         return _run_status(args)
     if args.command == "cancel":
         return _run_cancel(args)
-    result = run_scenario(_experiment_scenario(args)).result
-    _print_experiment(result, args.json)
+    _run_experiment(args)
     return 0
 
 

@@ -54,16 +54,11 @@ from repro.experiments.testbed import GpuStack, Testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, GpuCrash, GpuDegrade, GpuRecover
 from repro.frameworks.lowering import bind_plan
-from repro.gpu.specs import DeviceSpec
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
-from repro.profiler.profiles import ProfileStore
 from repro.runtime.client import ClientContext
-from repro.sim.engine import Simulator
 from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
-from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import ClientStats, RequestRecord
 from repro.workloads.registry import build_plan
@@ -665,15 +660,11 @@ class Fleet:
 
     def __init__(
         self,
-        sim: Simulator,
+        testbed: Testbed,
         num_gpus: int,
         tenants: Sequence[TenantSpec],
-        device_spec: DeviceSpec,
-        store: ProfileStore,
         backend: str = "orion",
-        rng_factory: Optional[RngFactory] = None,
         ledger: Optional[ErrorLedger] = None,
-        tracer=NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
         interference_weight: float = 1.0,
         health_weight: float = 4.0,
@@ -707,16 +698,16 @@ class Fleet:
                         f"the {num_gpus}-GPU fleet")
         if max_tenants_per_gpu < 1:
             raise ValueError("max_tenants_per_gpu must be >= 1")
-        self.sim = sim
+        self.sim = testbed.sim
         self.num_gpus = num_gpus
         self.tenants = tuple(tenants)
         self._by_name = {t.name: t for t in self.tenants}
         self.backend_name = backend
         self.ledger = ledger if ledger is not None else ErrorLedger()
-        self.tracer = tracer
+        self.tracer = testbed.tracer
         # Every GPU boots on the same testbed.
-        self.testbed = Testbed(sim, device_spec, rng_factory or RngFactory(0),
-                               store, tracer)
+        self.testbed = testbed
+        device_spec = testbed.device_spec
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.health_window = health_window
         self.health_latency_tolerance = health_latency_tolerance
@@ -943,11 +934,7 @@ class FleetResult:
     #: Every routing decision as (time, job seq, gpu index); the
     #: canonical output carries only its count and digest.
     decisions: List[Tuple[float, int, int]] = field(default_factory=list)
-    tracer: object = NULL_TRACER
     metrics: Optional[MetricsRegistry] = None
-    # Uniform run accounting for the Scenario API (bench/sweep).
-    events_processed: int = 0
-    sim_time: float = 0.0
 
     def goodput(self, tenant: str, duration: float, after: float = 0.0) -> float:
         """Served requests per second for one tenant in [after, duration]."""
@@ -1049,7 +1036,7 @@ def _default_tenants(capacity: float, num_gpus: int, model: str,
     return tenants
 
 
-def _run_fleet_scenario(params: FleetParams) -> FleetResult:
+def _run_fleet_scenario(params: FleetParams, testbed: Testbed) -> FleetResult:
     """Run the fleet-resilience scenario and return its accounting.
 
     With no explicit ``plan``, a deterministic fleet plan is sampled
@@ -1072,8 +1059,7 @@ def _run_fleet_scenario(params: FleetParams) -> FleetResult:
     duration, num_gpus, model = params.duration, params.num_gpus, params.model
     placement, tenants, plan = params.placement, params.tenants, params.plan
     max_per_gpu = params.max_tenants_per_gpu
-    testbed = Testbed.build(params.device, params.seed, params.telemetry)
-    sim, device_spec, tracer = testbed.sim, testbed.device_spec, testbed.tracer
+    sim, device_spec = testbed.sim, testbed.device_spec
     ledger = ErrorLedger()
 
     if plan is None:
@@ -1122,9 +1108,8 @@ def _run_fleet_scenario(params: FleetParams) -> FleetResult:
         assignment = dict(placement)
 
     fleet = Fleet(
-        sim, num_gpus, tenants, device_spec, testbed.store,
-        backend=params.backend, rng_factory=testbed.rng, ledger=ledger,
-        tracer=tracer, interference_weight=params.interference_weight,
+        testbed, num_gpus, tenants, backend=params.backend, ledger=ledger,
+        interference_weight=params.interference_weight,
         health_weight=params.health_weight, assignment=assignment,
         max_tenants_per_gpu=max_per_gpu,
     )
@@ -1144,7 +1129,8 @@ def _run_fleet_scenario(params: FleetParams) -> FleetResult:
     fleet.start(duration)
     if controller is not None:
         controller.start(duration)
-    injector = FaultInjector(sim, plan, fleet=fleet, tracer=tracer).start()
+    injector = FaultInjector(sim, plan, fleet=fleet,
+                             tracer=testbed.tracer).start()
     sim.run(until=duration)
 
     fleet.drain_unfinished()
@@ -1181,8 +1167,5 @@ def _run_fleet_scenario(params: FleetParams) -> FleetResult:
         routing=routing,
         migration=migration_report,
         decisions=list(fleet.router.decisions),
-        tracer=tracer,
         metrics=fleet.metrics,
-        events_processed=sim.events_processed,
-        sim_time=sim.now,
     )

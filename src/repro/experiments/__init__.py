@@ -1,6 +1,6 @@
-"""Experiment harness: configs, runner, catalog, table formatting."""
+"""Experiment harness: params, runner, catalog, table formatting."""
 
-from .config import ExperimentConfig, JobSpec
+from .params import ExperimentParams, JobSpec
 from .registry import (
     inf_inf_config,
     inf_train_config,
@@ -23,7 +23,7 @@ from .sweep import run_sweep, sweep_to_json
 from .tables import format_series, format_table, ratio
 
 __all__ = [
-    "ExperimentConfig",
+    "ExperimentParams",
     "JobSpec",
     "Scenario",
     "ScenarioResult",

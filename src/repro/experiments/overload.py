@@ -31,7 +31,6 @@ from repro.experiments.runner import get_profile
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.arrivals import make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient
 from repro.workloads.registry import build_plan
@@ -61,15 +60,10 @@ class OverloadResult:
     queue_telemetry: Dict[str, dict] = field(default_factory=dict)
     guard_actions: List[dict] = field(default_factory=list)
     guard_summary: Optional[dict] = None
-    # The run's tracer (NULL_TRACER unless telemetry.tracing was set),
-    # the backend's metrics registry, and any utilization segments the
+    # The backend's metrics registry and any utilization segments the
     # device recorded (only when tracing, for the trace's counters).
-    tracer: object = NULL_TRACER
     metrics: Optional[MetricsRegistry] = None
     utilization_segments: List = field(default_factory=list)
-    # Uniform run accounting for the Scenario API (bench/sweep).
-    events_processed: int = 0
-    sim_time: float = 0.0
 
     @property
     def hp_stats(self) -> ClientStats:
@@ -88,7 +82,8 @@ class OverloadResult:
         return sum(stats.shed for stats in self.jobs.values())
 
 
-def _run_overload_scenario(params: OverloadParams) -> OverloadResult:
+def _run_overload_scenario(params: OverloadParams,
+                           testbed: Testbed) -> OverloadResult:
     """Run the overload scenario and return its accounting.
 
     ``hp_load`` and ``be_load`` are offered loads as fractions of the
@@ -99,7 +94,6 @@ def _run_overload_scenario(params: OverloadParams) -> OverloadResult:
     ``guard`` is on; see :class:`OverloadParams` for every knob.
     """
     duration, be_clients = params.duration, params.be_clients
-    testbed = Testbed.build(params.device, params.seed, params.telemetry)
     sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
 
@@ -111,14 +105,12 @@ def _run_overload_scenario(params: OverloadParams) -> OverloadResult:
     be_deadline = None if params.deadline_mult is None \
         else params.deadline_mult * solo_latency
 
-    # Utilization segments feed the trace's device counters; recording
-    # them without a tracer would only burn memory.
     gpu = testbed.gpu("orion", OrionConfig(
         hp_request_latency=solo_latency,
         dur_threshold_frac=params.initial_dur_frac,
         be_queue_depth=params.queue_depth,
         overload_policy=params.policy,
-    ), record_utilization=testbed.tracer.enabled)
+    ))
     backend = gpu.backend
 
     plan = build_plan(params.model, "inference")
@@ -170,9 +162,6 @@ def _run_overload_scenario(params: OverloadParams) -> OverloadResult:
         queue_telemetry=backend.queue_telemetry(),
         guard_actions=list(slo_guard.actions) if slo_guard else [],
         guard_summary=slo_guard.summary() if slo_guard else None,
-        tracer=testbed.tracer,
         metrics=backend.metrics,
         utilization_segments=list(gpu.device.utilization_segments),
-        events_processed=sim.events_processed,
-        sim_time=sim.now,
     )

@@ -1,14 +1,13 @@
 """Typed per-kind scenario parameter surfaces: one declaration per knob.
 
-Each non-experiment scenario kind (overload, faults, fleet, llm) has a
+Each scenario kind (experiment, overload, faults, fleet, llm) has a
 frozen dataclass here.  A field, declared through :func:`knob`, is the
 only place its knob's name, type, default, choices, range and CLI help
 are written:
 
 * ``run(scenario)`` builds ``PARAM_TYPES[kind](**scenario.params)`` and
-  passes the validated instance to the kind's implementation as its
-  one parameter, so the implementations neither restate defaults nor
-  re-check ranges;
+  passes the validated instance to the kind's implementation, so the
+  implementations neither restate defaults nor re-check ranges;
 * ``repro.cli`` generates each kind's flags from the same fields.
 
 :func:`validate_params` is invoked from ``Scenario.__post_init__`` so
@@ -23,9 +22,11 @@ catalog stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
+    "JobSpec",
+    "ExperimentParams",
     "OverloadParams",
     "FaultsParams",
     "FleetParams",
@@ -35,6 +36,7 @@ __all__ = [
     "FAULTS_BACKENDS",
     "FLEET_BACKENDS",
     "LLM_BACKENDS",
+    "check_keys",
     "validate_params",
 ]
 
@@ -99,6 +101,68 @@ _WARMUP_HELP = "exclude requests arriving before this time"
 
 
 @dataclass(frozen=True)
+class JobSpec:
+    """One client job in a collocation experiment."""
+
+    model: str
+    kind: str  # "inference" | "training"
+    high_priority: bool = False
+    arrivals: str = "closed"  # closed | uniform | poisson | apollo
+    rps: float = 0.0
+    batch_size: int = 0  # 0 -> the paper's Table 1 default
+    name: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("inference", "training"):
+            raise ValueError(f"bad job kind {self.kind!r}")
+        if self.arrivals not in ("closed", "uniform", "poisson", "apollo"):
+            raise ValueError(f"bad arrival kind {self.arrivals!r}")
+        if self.arrivals in ("uniform", "poisson") and self.rps <= 0:
+            raise ValueError(f"{self.arrivals} arrivals need rps > 0")
+        if self.kind == "training" and self.arrivals != "closed":
+            raise ValueError("training jobs run closed-loop")
+        if not self.name:
+            role = "hp" if self.high_priority else "be"
+            object.__setattr__(
+                self, "name", f"{role}-{self.model}-{self.kind}")
+
+
+@dataclass(frozen=True)
+class ExperimentParams(_ParamsBase):
+    """Knobs of ``Scenario(kind="experiment")``: a full collocation
+    experiment (see experiments.runner)."""
+
+    seed: int = knob(0, _SEED_HELP)
+    duration: float = knob(4.0, _DURATION_HELP, check="positive")
+    jobs: Tuple[JobSpec, ...] = knob(())
+    backend: str = knob("orion", "sharing technique",
+                        choices=EXPERIMENT_BACKENDS)
+    device: str = knob("V100-16GB", "simulated GPU")
+    warmup: float = knob(0.5, _WARMUP_HELP, check="non_negative")
+    record_utilization: bool = knob(
+        False, "record device utilization and report its averages")
+    #: Extra OrionConfig kwargs (ablation switches, thresholds).
+    orion: Optional[Mapping[str, Any]] = knob(None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "jobs", tuple(self.jobs))
+        super().__post_init__()
+        if not self.jobs:
+            raise ValueError("experiment needs at least one job")
+        if not all(isinstance(job, JobSpec) for job in self.jobs):
+            raise ValueError("experiment jobs must be JobSpec records")
+        if self.duration <= self.warmup:
+            raise ValueError("duration must exceed warmup")
+        names = [j.name for j in self.jobs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate job names: {names}")
+        hp_count = sum(1 for j in self.jobs if j.high_priority)
+        if self.backend in ("orion", "reef") and hp_count != 1:
+            raise ValueError(
+                f"{self.backend} needs exactly one high-priority job")
+
+
+@dataclass(frozen=True)
 class OverloadParams(_ParamsBase):
     """Knobs of ``Scenario(kind="overload")`` (see experiments.overload)."""
 
@@ -130,7 +194,6 @@ class OverloadParams(_ParamsBase):
         0.35, "starting (deliberately loose) DUR_THRESHOLD fraction the "
         "guard tightens from", check="positive")
     warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
-    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
 
 
 @dataclass(frozen=True)
@@ -186,7 +249,6 @@ class FleetParams(_ParamsBase):
         1.0, "router weight of predicted interference")
     health_weight: float = knob(4.0, "router weight of GPU health")
     warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
-    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
     placement: object = knob(
         "all", "tenant residency: 'all' (every tenant on every GPU), "
         "'plan' (interference-aware single-home), 'adversarial' "
@@ -264,7 +326,6 @@ class LlmParams(_ParamsBase):
         3.0, "TTFT SLO as a multiple of the solo prefill latency",
         check="positive")
     warmup: float = knob(0.0, _WARMUP_HELP, check="non_negative")
-    telemetry: Optional[object] = knob(None)  #: TelemetryConfig
 
     def __post_init__(self):
         super().__post_init__()
@@ -274,14 +335,25 @@ class LlmParams(_ParamsBase):
             raise ValueError("output_mean must be <= output_cap")
 
 
-#: kind -> typed params dataclass (experiment scenarios carry an
-#: ExperimentConfig instead and are validated by it).
+#: kind -> typed params dataclass.
 PARAM_TYPES = {
+    "experiment": ExperimentParams,
     "overload": OverloadParams,
     "faults": FaultsParams,
     "fleet": FleetParams,
     "llm": LlmParams,
 }
+
+
+def check_keys(what: str, keys, known) -> None:
+    """Raise ``ValueError`` naming every key of ``keys`` not in
+    ``known``, with the valid surface."""
+    known = set(known)
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} scenario parameter(s) {', '.join(unknown)}; "
+            f"valid: {', '.join(sorted(known))}")
 
 
 def validate_params(kind: str, params: Mapping[str, Any]) -> None:
@@ -291,13 +363,6 @@ def validate_params(kind: str, params: Mapping[str, Any]) -> None:
     surface) or the out-of-range value.  Does not mutate or expand
     ``params`` — scenarios keep carrying sparse override dicts.
     """
-    cls = PARAM_TYPES.get(kind)
-    if cls is None:
-        return
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} scenario parameter(s) {', '.join(unknown)}; "
-            f"valid: {', '.join(sorted(known))}")
+    cls = PARAM_TYPES[kind]
+    check_keys(kind, params, (f.name for f in fields(cls)))
     cls(**params)  # range/choice/cross-field checks in __post_init__

@@ -22,7 +22,6 @@ from repro.profiler.nsight import profile_plan
 from repro.profiler.profiles import ModelProfile
 from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER
 from repro.workloads.apollo import apollo_trace
 from repro.workloads.arrivals import (
     ClosedLoop,
@@ -33,7 +32,7 @@ from repro.workloads.arrivals import (
 from repro.workloads.clients import ClientStats, InferenceClient, TrainingClient
 from repro.workloads.registry import build_plan
 
-from .config import ExperimentConfig, JobSpec
+from .params import ExperimentParams, JobSpec
 from .testbed import Testbed, report_stats
 
 __all__ = ["ExperimentResult", "JobResult", "get_profile",
@@ -75,18 +74,14 @@ class JobResult:
 class ExperimentResult:
     """Everything one experiment run produced."""
 
-    config: ExperimentConfig
+    params: ExperimentParams
     jobs: Dict[str, JobResult]
+    #: Averages over [warmup, duration]; only with ``record_utilization``.
     utilization: Optional[UtilizationAverages] = None
+    #: Every device's segments, whenever the devices recorded them.
     utilization_segments: List = field(default_factory=list)
     backend_stats: Dict = field(default_factory=dict)
-    # The run's tracer (NULL_TRACER unless config.telemetry.tracing)
-    # and the backend's metrics registry.
-    tracer: object = NULL_TRACER
     metrics: Optional[MetricsRegistry] = None
-    # Uniform run accounting for the Scenario API (bench/sweep).
-    events_processed: int = 0
-    sim_time: float = 0.0
 
     @property
     def hp_job(self) -> JobResult:
@@ -103,7 +98,8 @@ class ExperimentResult:
         return sum(j.throughput for j in self.jobs.values())
 
 
-def _make_arrivals(job: JobSpec, config: ExperimentConfig, rng_factory: RngFactory):
+def _make_arrivals(job: JobSpec, params: ExperimentParams,
+                   rng_factory: RngFactory):
     if job.arrivals == "closed":
         return ClosedLoop()
     if job.arrivals == "uniform":
@@ -113,69 +109,66 @@ def _make_arrivals(job: JobSpec, config: ExperimentConfig, rng_factory: RngFacto
     if job.arrivals == "apollo":
         from repro.sim.rng import substream_seed
 
-        trace = apollo_trace(config.duration,
-                             seed=substream_seed(config.seed, f"apollo:{job.name}"))
+        trace = apollo_trace(params.duration,
+                             seed=substream_seed(params.seed, f"apollo:{job.name}"))
         return TraceArrivals(trace)
     raise ValueError(f"unknown arrival kind {job.arrivals!r}")
 
 
-def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def _run_experiment(params: ExperimentParams,
+                    testbed: Testbed) -> ExperimentResult:
     """Run one collocation experiment end to end."""
-    testbed = Testbed.build(config.device, config.seed, config.telemetry)
     sim, device_spec = testbed.sim, testbed.device_spec
 
     # Offline profiling phase (cached across runs).
     hp_latency: Optional[float] = None
-    for job in config.jobs:
+    for job in params.jobs:
         profile = get_profile(job.model, job.kind, device_spec, job.batch_size)
         testbed.store.add(profile)
         if job.high_priority:
             hp_latency = profile.request_latency
 
-    orion_kwargs = dict(config.orion)
+    orion_kwargs = dict(params.orion or {})
     orion_kwargs.setdefault("hp_request_latency", hp_latency)
-    gpu = testbed.gpu(config.backend, OrionConfig(**orion_kwargs),
-                      record_utilization=config.record_utilization)
+    gpu = testbed.gpu(params.backend, OrionConfig(**orion_kwargs),
+                      record_utilization=params.record_utilization)
     backend = gpu.backend
 
     clients = []
-    for job in config.jobs:
+    for job in params.jobs:
         ctx = gpu.ctx(job.name, job.high_priority, job.kind)
         plan = build_plan(job.model, job.kind, batch_size=job.batch_size)
         if job.kind == "training":
             client = TrainingClient(sim, ctx, plan, device_spec, job.name,
-                                    horizon=config.duration)
+                                    horizon=params.duration)
         else:
-            arrivals = _make_arrivals(job, config, testbed.rng)
+            arrivals = _make_arrivals(job, params, testbed.rng)
             client = InferenceClient(sim, ctx, plan, device_spec, arrivals,
-                                     job.name, horizon=config.duration)
+                                     job.name, horizon=params.duration)
         clients.append((job, client))
 
     backend.start()
     for _job, client in clients:
         client.start()
-    sim.run(until=config.duration)
+    sim.run(until=params.duration)
 
     jobs: Dict[str, JobResult] = {}
     for job, client in clients:
         records = client.stats.records
-        latency = summarize_latencies(records, after=config.warmup)
-        tput = throughput_of(records, config.warmup, config.duration)
+        latency = summarize_latencies(records, after=params.warmup)
+        tput = throughput_of(records, params.warmup, params.duration)
         jobs[job.name] = JobResult(job.name, job.model, job.kind,
                                    job.high_priority, latency, tput,
                                    client.stats)
 
-    result = ExperimentResult(config=config, jobs=jobs, tracer=testbed.tracer,
-                              metrics=backend.metrics,
-                              events_processed=sim.events_processed,
-                              sim_time=sim.now)
-    if config.record_utilization:
-        segments = []
-        for device in backend.devices():
-            segments.extend(device.utilization_segments)
-        result.utilization_segments = segments
-        result.utilization = average_utilization(segments, config.warmup,
-                                                 config.duration)
+    segments = [segment for device in backend.devices()
+                for segment in device.utilization_segments]
+    result = ExperimentResult(params=params, jobs=jobs,
+                              utilization_segments=segments,
+                              metrics=backend.metrics)
+    if params.record_utilization:
+        result.utilization = average_utilization(segments, params.warmup,
+                                                 params.duration)
     result.backend_stats = report_stats(backend, EXPERIMENT_STATS)
     if result.backend_stats:
         # Only backends that keep counters (Orion) report their queues.

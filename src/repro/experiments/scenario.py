@@ -1,30 +1,28 @@
 """Unified Scenario API: one description, one entry point, one result.
 
 A :class:`Scenario` describes any run: ``kind`` selects the family,
-``experiment`` carries the full
-:class:`~repro.experiments.config.ExperimentConfig` for collocation
-runs, and ``params`` carries sparse overrides of the typed params
-dataclass of the overload, faults, fleet and llm families.  Every
-family builds its GPUs on the shared testbed in
-:mod:`repro.experiments.testbed`.
+``params`` carries sparse overrides of the kind's typed params
+dataclass (:mod:`repro.experiments.params`), and ``telemetry`` says
+whether to trace it.
 
-``run(scenario)`` executes any of them and returns a
-:class:`ScenarioResult` wrapping the family-specific result object plus
-uniform accounting (simulator events processed, simulated seconds,
-wall-clock seconds).  ``ScenarioResult.canonical()`` renders the
-deterministic subset — everything except wall-clock — as plain data, so
-equal (scenario, seed) cells produce byte-identical JSON no matter
-where or in which process they ran: the property the sweep engine's
-merge step relies on.
+``run(scenario)`` executes any of them: it builds the run's testbed
+(:mod:`repro.experiments.testbed`) once, hands it to the kind's
+implementation, and returns a :class:`ScenarioResult` wrapping the
+family-specific result object plus uniform accounting (simulator events
+processed, simulated seconds, wall-clock seconds) and the run's tracer.
+``ScenarioResult.canonical()`` renders the deterministic subset —
+everything except wall-clock — as plain data, so equal (scenario, seed)
+cells produce byte-identical JSON no matter where or in which process
+they ran, traced or not: the property the sweep engine's merge step
+relies on.
 
 Named scenarios (the catalog the CLI, sweep, and bench share) live in
 :mod:`repro.experiments.registry` as ``make_scenario(name, ...)``.
 
-Scenarios are validated at construction: params-kind scenarios against
-the typed dataclasses in :mod:`repro.experiments.params`, experiment
-scenarios by their ``ExperimentConfig``.  An unknown or out-of-range
-knob, or a backend the kind does not support, raises ``ValueError``
-from ``Scenario(...)`` itself, not minutes later inside a sweep worker.
+Scenarios are validated at construction against the typed dataclasses
+in :mod:`repro.experiments.params`.  An unknown or out-of-range knob, or
+a backend the kind does not support, raises ``ValueError`` from
+``Scenario(...)`` itself, not minutes later inside a sweep worker.
 """
 
 from __future__ import annotations
@@ -35,12 +33,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from .config import ExperimentConfig
-from .params import PARAM_TYPES, validate_params
+from repro.telemetry.tracer import NULL_TRACER, TelemetryConfig
+
+from .params import PARAM_TYPES, _ParamsBase, validate_params
 
 __all__ = ["Scenario", "ScenarioResult", "run", "SCENARIO_KINDS"]
 
-SCENARIO_KINDS = ("experiment", "overload", "faults", "fleet", "llm")
+SCENARIO_KINDS = tuple(PARAM_TYPES)
 
 
 @dataclass(frozen=True)
@@ -54,59 +53,49 @@ class Scenario:
         fleet), or ``"llm"`` (continuous-batching LLM serving).
     ``name``
         Display/registry name; defaults to ``kind``.
-    ``experiment``
-        The :class:`ExperimentConfig` payload — required for (and
-        exclusive to) ``kind="experiment"``.
     ``params``
-        Sparse overrides of the kind's params dataclass
-        (:mod:`repro.experiments.params`), validated at construction;
-        ``run`` builds the dataclass from them and passes it through.
+        Sparse overrides of the kind's params dataclass, validated at
+        construction; ``run`` builds the dataclass from them.  A params
+        dataclass instance is accepted too and stored as its overrides.
+    ``telemetry``
+        Tracing switches (:class:`TelemetryConfig`); None runs with the
+        nil tracer.  Observation only: it never changes the result.
     """
 
     kind: str
     name: str = ""
-    experiment: Optional[ExperimentConfig] = None
     params: Mapping[str, Any] = field(default_factory=dict)
+    telemetry: Optional[TelemetryConfig] = None
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        cls = PARAM_TYPES.get(self.kind)
+        if cls is None:
             raise ValueError(
                 f"unknown scenario kind {self.kind!r}; "
                 f"expected one of {', '.join(SCENARIO_KINDS)}")
-        if self.kind == "experiment":
-            if self.experiment is None:
+        params = self.params
+        if isinstance(params, _ParamsBase):
+            if not isinstance(params, cls):
                 raise ValueError(
-                    "kind='experiment' requires an ExperimentConfig payload")
-        elif self.experiment is not None:
-            raise ValueError(
-                f"kind={self.kind!r} is configured via params, "
-                "not an ExperimentConfig")
-        else:
-            validate_params(self.kind, self.params)
-        object.__setattr__(self, "params", dict(self.params))
+                    f"kind={self.kind!r} takes {cls.__name__} params, "
+                    f"not {type(params).__name__}")
+            params = params.to_params()
+        validate_params(self.kind, params)
+        object.__setattr__(self, "params", dict(params))
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
     @property
     def seed(self) -> int:
-        if self.kind == "experiment":
-            return self.experiment.seed
         return int(self.params.get("seed", 0))
 
     @property
     def duration(self) -> Optional[float]:
         """Simulated horizon; None means the params dataclass default."""
-        if self.kind == "experiment":
-            return self.experiment.duration
         value = self.params.get("duration")
         return None if value is None else float(value)
 
     def describe(self) -> str:
-        if self.kind == "experiment":
-            cfg = self.experiment
-            jobs = "+".join(j.model for j in cfg.jobs)
-            return (f"{self.name}: {cfg.backend} {jobs} "
-                    f"seed={cfg.seed} duration={cfg.duration:g}s")
         extras = {k: v for k, v in sorted(self.params.items())
                   if k not in ("seed", "duration")}
         dur = "default" if self.duration is None else f"{self.duration:g}s"
@@ -124,8 +113,10 @@ class ScenarioResult:
     ``LlmServeResult``).  The wrapper adds
     the accounting every caller (bench, sweep, CLI) needs without
     re-deriving it: simulator events processed, simulated seconds, and
-    wall-clock seconds.  Wall-clock is deliberately excluded from
-    :meth:`canonical` so same-seed runs serialize byte-identically.
+    wall-clock seconds, plus the run's tracer (``NULL_TRACER`` unless
+    the scenario asked for tracing).  Wall-clock is deliberately
+    excluded from :meth:`canonical` so same-seed runs serialize
+    byte-identically.
     """
 
     scenario: Scenario
@@ -133,6 +124,7 @@ class ScenarioResult:
     events_processed: int
     sim_time: float
     wall_time: float
+    tracer: object = NULL_TRACER
 
     @property
     def ops_per_sec(self) -> float:
@@ -156,9 +148,10 @@ class ScenarioResult:
                           separators=(",", ":"), default=float)
 
 
-#: kind -> (module, function) of each params-kind implementation; each
-#: takes the kind's validated params dataclass as its one argument.
+#: kind -> (module, function) of each implementation; each takes the
+#: kind's validated params dataclass and the run's testbed.
 _IMPLEMENTATIONS = {
+    "experiment": ("repro.experiments.runner", "_run_experiment"),
     "overload": ("repro.experiments.overload", "_run_overload_scenario"),
     "faults": ("repro.faults.scenario", "_run_fault_scenario"),
     "fleet": ("repro.cluster.fleet", "_run_fleet_scenario"),
@@ -169,22 +162,23 @@ _IMPLEMENTATIONS = {
 def run(scenario: Scenario) -> ScenarioResult:
     """Execute any :class:`Scenario` and wrap its outcome.
 
-    The family implementations are imported lazily, so building a
-    scenario stays cheap.
+    The one place a testbed is built.  The family implementations (and
+    the testbed module) are imported lazily, so building a scenario
+    stays cheap.
     """
-    start = time.perf_counter()
-    if scenario.kind == "experiment":
-        from .runner import _run_experiment
+    from .testbed import Testbed
 
-        result = _run_experiment(scenario.experiment)
-    else:
-        module, name = _IMPLEMENTATIONS[scenario.kind]
-        implementation = getattr(importlib.import_module(module), name)
-        result = implementation(PARAM_TYPES[scenario.kind](**scenario.params))
+    start = time.perf_counter()
+    params = PARAM_TYPES[scenario.kind](**scenario.params)
+    testbed = Testbed.build(params.device, params.seed, scenario.telemetry)
+    module, name = _IMPLEMENTATIONS[scenario.kind]
+    implementation = getattr(importlib.import_module(module), name)
+    result = implementation(params, testbed)
     wall = time.perf_counter() - start
     return ScenarioResult(scenario=scenario, result=result,
-                          events_processed=result.events_processed,
-                          sim_time=result.sim_time, wall_time=wall)
+                          events_processed=testbed.sim.events_processed,
+                          sim_time=testbed.sim.now, wall_time=wall,
+                          tracer=testbed.tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +210,12 @@ def _canon_latency(summary) -> dict:
 
 
 def _canon_experiment(result) -> dict:
-    config = result.config
+    params = result.params
     return {
-        "backend": config.backend,
-        "device": config.device,
-        "duration": config.duration,
-        "warmup": config.warmup,
+        "backend": params.backend,
+        "device": params.device,
+        "duration": params.duration,
+        "warmup": params.warmup,
         "jobs": {
             name: {
                 "high_priority": job.high_priority,

@@ -8,9 +8,10 @@ name to its constructor, and :class:`Testbed` holds what one run shares
 the backend over it, and the host GIL its client threads share, with
 the tracer passed to each at construction.
 
-The testbed only builds.  Each kind adds its own profiles to the store
-and starts its clients, guards, fault injectors and backend in its own
-order.
+``run(scenario)`` builds one testbed per run and hands it to the
+kind's implementation.  The testbed only builds.  Each kind adds its
+own profiles to the store and starts its clients, guards, fault
+injectors and backend in its own order.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ class Testbed:
     def gpu(self, backend: str, config: Optional[OrionConfig] = None,
             record_utilization: bool = False) -> GpuStack:
         """Build one GPU running ``backend``.  ``config`` is used only
-        by Orion."""
+        by Orion.  Its devices record utilization segments when asked
+        to, and always under tracing: the segments are the trace's
+        device counters."""
+        record_utilization = record_utilization or self.tracer.enabled
         factory = BACKENDS.get(backend)
         if factory is None:
             raise ValueError(f"unknown backend {backend!r}; "

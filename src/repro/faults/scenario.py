@@ -13,7 +13,7 @@ serving again.  Used by ``python -m repro faults``, the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core import OrionConfig
 from repro.experiments.params import FaultsParams
@@ -21,6 +21,7 @@ from repro.experiments.runner import get_profile
 from repro.experiments.testbed import Testbed, report_stats
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
+from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.clients import (
     ClientStats,
@@ -48,16 +49,18 @@ class FaultScenarioResult:
     jobs: Dict[str, ClientStats]
     hp_latency: LatencySummary
     backend_stats: Dict = field(default_factory=dict)
-    # Uniform run accounting for the Scenario API (bench/sweep).
-    events_processed: int = 0
-    sim_time: float = 0.0
+    # The backend's metrics registry and any utilization segments the
+    # device recorded (only when tracing, for the trace's counters).
+    metrics: Optional[MetricsRegistry] = None
+    utilization_segments: List = field(default_factory=list)
 
     @property
     def hp_stats(self) -> ClientStats:
         return self.jobs["hp"]
 
 
-def _run_fault_scenario(params: FaultsParams) -> FaultScenarioResult:
+def _run_fault_scenario(params: FaultsParams,
+                        testbed: Testbed) -> FaultScenarioResult:
     """Run the collocation-under-faults scenario and return its ledger.
 
     With no explicit ``plan``, the first best-effort client is killed at
@@ -75,7 +78,6 @@ def _run_fault_scenario(params: FaultsParams) -> FaultScenarioResult:
                 f"fault plan targets unknown client {event.client!r}; "
                 f"this scenario has {sorted(valid_targets)}")
 
-    testbed = Testbed.build(params.device, params.seed)
     sim, device_spec = testbed.sim, testbed.device_spec
     ledger = ErrorLedger()
 
@@ -111,7 +113,7 @@ def _run_fault_scenario(params: FaultsParams) -> FaultScenarioResult:
     injector = FaultInjector(
         sim, plan, device=gpu.device,
         clients={c.name: c for c in clients},
-        profiles=testbed.store,
+        profiles=testbed.store, tracer=testbed.tracer,
     ).start()
 
     gpu.backend.start()
@@ -130,5 +132,6 @@ def _run_fault_scenario(params: FaultsParams) -> FaultScenarioResult:
                                hp_latency=hp_latency,
                                backend_stats=report_stats(gpu.backend,
                                                           FAULTS_STATS),
-                               events_processed=sim.events_processed,
-                               sim_time=sim.now)
+                               metrics=gpu.backend.metrics,
+                               utilization_segments=list(
+                                   gpu.device.utilization_segments))

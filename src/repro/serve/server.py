@@ -1040,9 +1040,7 @@ def _build_scenario(request: Dict[str, Any]):
     Two submission shapes: ``{"name": <registry name>, "seed",
     "duration", "overrides"}`` goes through ``make_scenario`` (the same
     catalog the CLI/sweep/bench use), and ``{"scenario": {"kind",
-    "params"}}`` builds an inline params-family Scenario.  Inline
-    ``kind="experiment"`` is rejected — ExperimentConfig is not
-    JSON-expressible; submit a registry name with overrides instead.
+    "params"}}`` builds an inline Scenario, validated like any other.
     """
     seed = request.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -1078,11 +1076,6 @@ def _build_scenario(request: Dict[str, Any]):
             raise ProtocolError("bad_request",
                                 "scenario must be an object with a 'kind'")
         kind = inline.get("kind")
-        if kind == "experiment":
-            raise ProtocolError(
-                "bad_scenario",
-                "inline experiment configs are not supported; submit a "
-                "registry scenario name (see the 'scenarios' verb)")
         params = dict(inline.get("params") or {})
         params["seed"] = seed
         if duration is not None:

@@ -51,12 +51,14 @@ from repro.metrics.latency import LatencySummary
 from repro.runtime.client import ClientContext
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal, Timeout, spawn
+from repro.telemetry.metrics import MetricsRegistry
 
 from .arrivals import PoissonArrivals
 from .models.llm import LlmConfig, _decode_step_specs, _prefill_specs
 
 if TYPE_CHECKING:
     from repro.experiments.params import LlmParams
+    from repro.experiments.testbed import Testbed
 
 __all__ = [
     "LlmRequestRecord",
@@ -574,8 +576,10 @@ class LlmServeResult:
     jobs: Dict = field(default_factory=dict)   #: best-effort ClientStats
     backend_stats: Dict = field(default_factory=dict)
     ledger: ErrorLedger = field(default_factory=ErrorLedger)
-    events_processed: int = 0
-    sim_time: float = 0.0
+    # The backend's metrics registry and any utilization segments the
+    # device recorded (only when tracing, for the trace's counters).
+    metrics: Optional[MetricsRegistry] = None
+    utilization_segments: List = field(default_factory=list)
 
     def be_iterations(self, warmup: float = 0.0) -> int:
         """Completed best-effort training iterations past warmup."""
@@ -594,7 +598,7 @@ def _summarize(values: List[float]) -> LatencySummary:
     )
 
 
-def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
+def _run_llm_scenario(params: LlmParams, testbed: Testbed) -> LlmServeResult:
     """Run the continuous-batching LLM serving scenario.
 
     One high-priority :class:`ContinuousBatchingEngine` serves Poisson
@@ -609,7 +613,7 @@ def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
     """
     from repro.core import OrionConfig
     from repro.experiments.runner import get_profile
-    from repro.experiments.testbed import Testbed, report_stats
+    from repro.experiments.testbed import report_stats
     from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
@@ -621,7 +625,6 @@ def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
         raise ValueError(f"workload {model!r} is not an LLM workload; "
                          "kind='llm' scenarios need one (e.g. 'llm-small')")
 
-    testbed = Testbed.build(params.device, params.seed, params.telemetry)
     sim, device_spec, rng_factory = testbed.sim, testbed.device_spec, testbed.rng
     ledger = ErrorLedger()
 
@@ -649,7 +652,7 @@ def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
     stack = testbed.gpu(params.backend, OrionConfig(
         fallback_hp_latency=decode_ref,
         protect_prefill=params.protect_prefill,
-    ), record_utilization=testbed.tracer.enabled)
+    ))
     gpu, be_backend = stack.device, stack.backend
 
     # Enforce the KV budget with real memory: reserve everything beyond
@@ -720,6 +723,6 @@ def _run_llm_scenario(params: LlmParams) -> LlmServeResult:
         jobs={job.name: job.stats for job in be_jobs},
         backend_stats=report_stats(be_backend, LLM_STATS),
         ledger=ledger,
-        events_processed=sim.events_processed,
-        sim_time=sim.now,
+        metrics=be_backend.metrics,
+        utilization_segments=list(gpu.utilization_segments),
     )

@@ -68,6 +68,19 @@ def test_train_train_cli_with_sm_threshold(capsys):
     assert "BE" in capsys.readouterr().out
 
 
+def test_record_utilization_flag_prints_averages(capsys):
+    rc = main(["inf-train", "--hp", "mobilenet_v2", "--be", "mobilenet_v2",
+               "--duration", "0.3", "--warmup", "0.1",
+               "--record-utilization"])
+    assert rc == 0
+    assert "utilization: compute" in capsys.readouterr().out
+
+
+def test_trace_rejects_unknown_scenario():
+    with pytest.raises(SystemExit, match="unknown scenario 'nope'"):
+        main(["trace", "nope", "--out", "unused.json"])
+
+
 def test_faults_cli_runs(capsys):
     rc = main(["faults", "--duration", "0.06", "--seed", "1"])
     out = capsys.readouterr().out

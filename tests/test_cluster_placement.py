@@ -207,10 +207,8 @@ def test_prediction_matches_measured_collocation():
     for be in partners:
         be_sig = signature_of(get_profile(be, "training", V100_16GB))
         predicted[be] = pair_interference(hp_sig, be_sig)
-        config = train_train_config(hp, be, "mps", duration=2.5)
-        config.warmup = 0.4
-        result = run_scenario(
-            Scenario(kind="experiment", experiment=config)).result
+        config = train_train_config(hp, be, "mps", duration=2.5, warmup=0.4)
+        result = run_scenario(Scenario(kind="experiment", params=config)).result
         measured[be] = 1.0 - result.hp_job.throughput / solo_throughput(
             hp, "training")
     ranked_by_prediction = sorted(partners, key=predicted.get)

@@ -1,8 +1,10 @@
-"""Tests for experiment configs, the runner, and table formatting."""
+"""Tests for experiment params, the runner, and table formatting."""
+
+import dataclasses
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, JobSpec
+from repro.experiments.params import ExperimentParams, JobSpec
 from repro.experiments.registry import (
     inf_inf_config,
     inf_train_config,
@@ -16,9 +18,11 @@ from repro.experiments.tables import format_series, format_table, ratio
 from repro.gpu.specs import V100_16GB
 
 
-def run_experiment(cfg):
-    """Run a collocation config through the Scenario API."""
-    return run_scenario(Scenario(kind="experiment", experiment=cfg)).result
+def run_experiment(cfg, **changes):
+    """Run a collocation config (with ``changes``) through the Scenario
+    API."""
+    cfg = dataclasses.replace(cfg, **changes)
+    return run_scenario(Scenario(kind="experiment", params=cfg)).result
 
 
 # ----------------------------------------------------------------------
@@ -42,16 +46,22 @@ def test_jobspec_validation():
 def test_experiment_config_validation():
     hp = JobSpec(model="resnet50", kind="inference", high_priority=True,
                  arrivals="poisson", rps=10)
-    with pytest.raises(ValueError):
-        ExperimentConfig(jobs=[], backend="orion")
-    with pytest.raises(ValueError):
-        ExperimentConfig(jobs=[hp], backend="orion", duration=0.1, warmup=0.5)
+    with pytest.raises(ValueError, match="at least one job"):
+        ExperimentParams(jobs=[], backend="orion")
+    with pytest.raises(ValueError, match="exceed warmup"):
+        ExperimentParams(jobs=[hp], backend="orion", duration=0.1, warmup=0.5)
     # Orion requires exactly one HP job.
     be = JobSpec(model="resnet50", kind="training")
-    with pytest.raises(ValueError):
-        ExperimentConfig(jobs=[be], backend="orion")
-    with pytest.raises(ValueError):
-        ExperimentConfig(jobs=[hp, hp], backend="orion")
+    with pytest.raises(ValueError, match="exactly one high-priority"):
+        ExperimentParams(jobs=[be], backend="orion")
+    with pytest.raises(ValueError, match="duplicate job names"):
+        ExperimentParams(jobs=[hp, hp], backend="orion")
+    with pytest.raises(ValueError, match="JobSpec"):
+        ExperimentParams(jobs=[{"model": "resnet50"}], backend="orion")
+    # The catalog horizon and warm-up are the defaults.
+    params = ExperimentParams(jobs=[hp])
+    assert (params.duration, params.warmup) == (4.0, 0.5)
+    assert params.jobs == (hp,)
 
 
 def test_registry_builders_produce_valid_configs():
@@ -93,8 +103,7 @@ def test_solo_throughput_positive():
 def test_run_experiment_end_to_end():
     cfg = inf_train_config("mobilenet_v2", "mobilenet_v2", "orion",
                            duration=1.0)
-    cfg.warmup = 0.2
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, warmup=0.2)
     assert result.hp_job.latency.count > 10
     assert result.hp_job.throughput > 0
     assert len(result.be_jobs()) == 1
@@ -104,16 +113,14 @@ def test_run_experiment_end_to_end():
 def test_run_experiment_unknown_backend():
     cfg = inf_train_config("mobilenet_v2", "mobilenet_v2", "orion",
                            duration=1.0)
-    cfg.backend = "magic"
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    with pytest.raises(ValueError, match="backend must be one of"):
+        run_experiment(cfg, backend="magic")
 
 
 def test_run_experiment_records_utilization():
     cfg = solo_inference_config("mobilenet_v2", rps=50, duration=1.0,
                                 record_utilization=True)
-    cfg.warmup = 0.2
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, warmup=0.2)
     assert result.utilization is not None
     assert 0 < result.utilization.compute < 1
     assert result.utilization_segments
@@ -123,8 +130,7 @@ def test_run_experiment_deterministic():
     def run():
         cfg = inf_inf_config("mobilenet_v2", "mobilenet_v2", "orion",
                              arrivals="poisson", duration=1.0, seed=11)
-        cfg.warmup = 0.2
-        return run_experiment(cfg)
+        return run_experiment(cfg, warmup=0.2)
 
     a, b = run(), run()
     assert a.hp_job.latency.p99 == pytest.approx(b.hp_job.latency.p99)
@@ -135,8 +141,7 @@ def test_seed_changes_poisson_outcomes():
     def run(seed):
         cfg = inf_inf_config("mobilenet_v2", "mobilenet_v2", "orion",
                              arrivals="poisson", duration=1.0, seed=seed)
-        cfg.warmup = 0.2
-        return run_experiment(cfg).hp_job.latency.mean
+        return run_experiment(cfg, warmup=0.2).hp_job.latency.mean
 
     assert run(1) != run(2)
 

@@ -9,7 +9,9 @@ from repro.cluster.migration import (
     MigrationCostModel,
     MigrationPolicy,
 )
+from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run
+from repro.experiments.testbed import Testbed
 from repro.faults import FaultPlan, GpuCrash, GpuDegrade
 
 NO_FAULTS = FaultPlan(())
@@ -25,6 +27,15 @@ SMALL = dict(seed=0, duration=0.1, num_gpus=2, be_tenants=1,
 def run_fleet(**params):
     """Run a fleet scenario through the Scenario API."""
     return run(Scenario(kind="fleet", params=params)).result
+
+
+def _testbed() -> Testbed:
+    """A V100 testbed with mobilenet_v2's inference profile, for
+    building a Fleet by hand."""
+    testbed = Testbed.build("V100-16GB", seed=0)
+    testbed.store.add(get_profile("mobilenet_v2", "inference",
+                                  testbed.device_spec))
+    return testbed
 
 
 def accounted(result):
@@ -208,17 +219,10 @@ def test_min_gain_threshold_suppresses_marginal_moves():
 
 
 def test_router_drain_backlog_public_api():
-    from repro.cluster.fleet import (Fleet, TenantSpec)
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.experiments.runner import get_profile
-    from repro.sim.engine import Simulator
+    from repro.cluster.fleet import Fleet, TenantSpec
 
-    sim = Simulator()
-    device = get_device("V100-16GB")
-    store = ProfileStore()
-    store.add(get_profile("mobilenet_v2", "inference", device))
-    fleet = Fleet(sim, 1, [TenantSpec("t", rps=10.0)], device, store)
+    testbed = _testbed()
+    fleet = Fleet(testbed, 1, [TenantSpec("t", rps=10.0)])
     router = fleet.router
     # No workers booted: submissions pile up in the backlog.
     for seq in range(3):
@@ -233,16 +237,9 @@ def test_router_drain_backlog_public_api():
 
 def test_cordon_uncordon_roundtrip():
     from repro.cluster.fleet import Fleet, TenantSpec
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.experiments.runner import get_profile
-    from repro.sim.engine import Simulator
 
-    sim = Simulator()
-    device = get_device("V100-16GB")
-    store = ProfileStore()
-    store.add(get_profile("mobilenet_v2", "inference", device))
-    fleet = Fleet(sim, 2, [TenantSpec("t", rps=10.0)], device, store)
+    testbed = _testbed()
+    fleet = Fleet(testbed, 2, [TenantSpec("t", rps=10.0)])
     router = fleet.router
     assert not router.is_cordoned("t", 0)
     router.cordon("t", 0)
@@ -254,26 +251,17 @@ def test_cordon_uncordon_roundtrip():
 
 def test_assignment_validation():
     from repro.cluster.fleet import Fleet, TenantSpec
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.experiments.runner import get_profile
-    from repro.sim.engine import Simulator
 
-    sim = Simulator()
-    device = get_device("V100-16GB")
-    store = ProfileStore()
-    store.add(get_profile("mobilenet_v2", "inference", device))
+    testbed = _testbed()
     tenants = [TenantSpec("t", rps=10.0)]
     with pytest.raises(ValueError):
-        Fleet(sim, 2, tenants, device, store, assignment={})  # missing t
+        Fleet(testbed, 2, tenants, assignment={})  # missing t
     with pytest.raises(ValueError):
-        Fleet(sim, 2, tenants, device, store,
-              assignment={"t": 5})  # out of range
+        Fleet(testbed, 2, tenants, assignment={"t": 5})  # out of range
     with pytest.raises(ValueError):
-        Fleet(sim, 2, tenants, device, store,
-              assignment={"t": 0, "ghost": 1})  # unknown tenant
+        Fleet(testbed, 2, tenants, assignment={"t": 0, "ghost": 1})  # unknown tenant
     with pytest.raises(ValueError):
-        Fleet(sim, 2, tenants, device, store, assignment={"t": 0},
+        Fleet(testbed, 2, tenants, assignment={"t": 0},
               max_tenants_per_gpu=0)
 
 
@@ -288,15 +276,8 @@ def test_single_home_boot_spawns_only_assigned_workers():
 
 def test_controller_rejects_all_resident_fleet():
     from repro.cluster.fleet import Fleet, TenantSpec
-    from repro.gpu.specs import get_device
-    from repro.profiler.profiles import ProfileStore
-    from repro.experiments.runner import get_profile
-    from repro.sim.engine import Simulator
 
-    sim = Simulator()
-    device = get_device("V100-16GB")
-    store = ProfileStore()
-    store.add(get_profile("mobilenet_v2", "inference", device))
-    fleet = Fleet(sim, 2, [TenantSpec("t", rps=10.0)], device, store)
+    testbed = _testbed()
+    fleet = Fleet(testbed, 2, [TenantSpec("t", rps=10.0)])
     with pytest.raises(ValueError):
         MigrationController(fleet)

@@ -7,8 +7,8 @@ warm-up window) at two seeds, and the sha256 of
 pinned too, at seed 0, so the wiring of every (kind, backend) cell is
 covered.  Two traced runs pin the Chrome trace, metrics snapshot and
 attribution report as well: ``repro trace overload`` covers the
-telemetry-on path, and ``repro trace inf-train --backend ideal`` the
-per-client devices of the ideal backend.  A change that is meant to be
+telemetry-on path, and ``repro trace inf-train --set backend=ideal``
+the per-client devices of the ideal backend.  A change that is meant to be
 behaviour-preserving (a refactor, a speed-up) must leave every digest
 matching; a semantic drift in the scheduler fails here.
 
@@ -64,8 +64,9 @@ BACKEND_CELLS = (
       ("temporal", "streams", "priority-streams")),
 )
 TRACE_ARGS = ("trace", "overload", "--duration", "0.05", "--seed", "0")
-IDEAL_TRACE_ARGS = ("trace", "inf-train", "--backend", "ideal",
-                    "--duration", "0.1", "--seed", "0")
+IDEAL_TRACE_ARGS = ("trace", "inf-train", "--set", "backend=ideal",
+                    "--set", "warmup=0.025", "--duration", "0.1",
+                    "--seed", "0")
 
 
 def _sha(data: str) -> str:
@@ -146,6 +147,38 @@ def test_traced_overload_digests_match_pin(capsys):
 def test_traced_ideal_digests_match_pin(capsys):
     assert trace_digests(IDEAL_TRACE_ARGS) == \
         _pinned()["trace"][_trace_key(IDEAL_TRACE_ARGS)]
+
+
+@pytest.mark.parametrize("name", sorted(HORIZON))
+def test_trace_any_catalog_name(name, tmp_path, monkeypatch, capsys):
+    """``repro trace NAME`` takes every catalog name and writes a
+    non-empty trace, metrics snapshot and attribution report; tracing
+    is observation-only, so the traced run's canonical JSON has the
+    untraced run's pinned digest."""
+    import repro.cli
+
+    runs = []
+
+    def run_and_keep(scenario):
+        runs.append(run(scenario))
+        return runs[-1]
+
+    monkeypatch.setattr(repro.cli, "run_scenario", run_and_keep)
+    out = {kind: tmp_path / f"{kind}.json"
+           for kind in ("trace", "metrics", "attribution")}
+    assert cli_main(["trace", name, "--seed", "0",
+                     "--duration", f"{HORIZON[name]:g}",
+                     "--out", str(out["trace"]),
+                     "--metrics-out", str(out["metrics"]),
+                     "--attribution-out", str(out["attribution"])]) == 0
+    assert json.loads(out["trace"].read_text())["traceEvents"]
+    assert set(json.loads(out["metrics"].read_text())) == \
+        {"counters", "gauges", "histograms"}
+    assert isinstance(json.loads(out["attribution"].read_text()), dict)
+    (traced,) = runs
+    assert traced.tracer.enabled and len(traced.tracer)
+    assert _sha(traced.to_json()) == \
+        _pinned()["scenarios"][_cell_key(name, 0)]
 
 
 def _pin() -> None:

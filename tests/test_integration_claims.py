@@ -5,6 +5,8 @@ Each test runs a short (1-3 s simulated) collocation and asserts the
 These are the repo's regression net for the headline results.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.registry import (
@@ -20,8 +22,8 @@ HP, BE = "resnet50", "resnet101"
 
 
 def run(cfg):
-    cfg.warmup = 0.3
-    return run_scenario(Scenario(kind="experiment", experiment=cfg)).result
+    cfg = dataclasses.replace(cfg, warmup=0.3)
+    return run_scenario(Scenario(kind="experiment", params=cfg)).result
 
 
 @pytest.fixture(scope="module")

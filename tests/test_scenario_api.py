@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.scheduler import OrionBackend, OrionConfig
+from repro.experiments.params import PARAM_TYPES
 from repro.experiments.registry import (
     SCENARIOS,
     inf_train_config,
@@ -34,18 +35,26 @@ class TestScenarioDataclass:
             Scenario(kind="bogus")
 
     def test_experiment_kind_requires_config(self):
-        with pytest.raises(ValueError, match="requires an ExperimentConfig"):
+        with pytest.raises(ValueError, match="at least one job"):
             Scenario(kind="experiment")
 
     def test_params_kinds_reject_experiment_payload(self):
         config = inf_train_config("resnet50", "mobilenet_v2", "orion")
-        with pytest.raises(ValueError, match="params"):
-            Scenario(kind="overload", experiment=config)
+        with pytest.raises(ValueError, match="OverloadParams params"):
+            Scenario(kind="overload", params=config)
+
+    def test_params_instance_is_stored_as_overrides(self):
+        config = inf_train_config("resnet50", "mobilenet_v2", "orion",
+                                  duration=0.8, seed=7)
+        exp = Scenario(kind="experiment", params=config)
+        assert exp.params == config.to_params()
+        assert "backend" not in exp.params  # the default
+        assert PARAM_TYPES["experiment"](**exp.params) == config
 
     def test_seed_and_duration_surface_uniformly(self):
         config = inf_train_config("resnet50", "mobilenet_v2", "orion",
                                   duration=0.8, seed=7)
-        exp = Scenario(kind="experiment", experiment=config)
+        exp = Scenario(kind="experiment", params=config)
         assert exp.seed == 7 and exp.duration == 0.8
         ovl = Scenario(kind="overload", params={"seed": 3, "duration": 0.1})
         assert ovl.seed == 3 and ovl.duration == 0.1
@@ -81,9 +90,11 @@ class TestRun:
     def test_experiment_scenario_runs(self):
         config = inf_train_config("resnet50", "mobilenet_v2", "orion",
                                   duration=0.55)
-        res = run(Scenario(kind="experiment", experiment=config))
+        res = run(Scenario(kind="experiment", params=config))
         assert res.result.hp_job.stats.records
         assert res.events_processed > 0
+        assert res.sim_time == pytest.approx(0.55)
+        assert not res.tracer.enabled
 
     def test_canonical_excludes_wall_clock(self):
         res = run(Scenario(kind="overload",
@@ -118,8 +129,8 @@ class TestScenarioCatalog:
 
     def test_seed_and_duration_propagate(self):
         exp = make_scenario("inf-train", seed=9, duration=1.5)
-        assert exp.experiment.seed == 9
-        assert exp.experiment.duration == 1.5
+        assert exp.params["seed"] == 9
+        assert exp.params["duration"] == 1.5
         ovl = make_scenario("overload_ref", seed=3)
         assert ovl.params["seed"] == 3
         assert ovl.params["duration"] == 0.4  # pinned reference horizon
@@ -135,6 +146,18 @@ class TestScenarioCatalog:
         for name in SCENARIOS:
             scenario = make_scenario(name, seed=1)
             assert scenario.kind in SCENARIO_KINDS
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_unknown_override_lists_valid_keys(self, name):
+        with pytest.raises(ValueError,
+                           match=r"unknown .* nonsense; valid: .*warmup"):
+            make_scenario(name, nonsense=1)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_warmup_is_an_override(self, name):
+        scenario = make_scenario(name, warmup=0.01)
+        params = PARAM_TYPES[scenario.kind](**scenario.params)
+        assert params.warmup == 0.01
 
 
 class TestFaultPlanValidation:

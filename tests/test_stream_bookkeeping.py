@@ -128,16 +128,15 @@ def test_concurrent_streams_respect_max_kernel_cap():
 
 
 def test_experiment_result_accessors():
-    from repro.experiments.config import ExperimentConfig, JobSpec
+    from repro.experiments.params import ExperimentParams, JobSpec
     from repro.experiments.scenario import Scenario, run as run_scenario
 
     hp = JobSpec(model="mobilenet_v2", kind="inference", high_priority=True,
                  arrivals="uniform", rps=30)
     be = JobSpec(model="mobilenet_v2", kind="training")
-    config = ExperimentConfig(jobs=[hp, be], backend="mps", duration=1.0,
+    config = ExperimentParams(jobs=[hp, be], backend="mps", duration=1.0,
                               warmup=0.2)
-    result = run_scenario(
-        Scenario(kind="experiment", experiment=config)).result
+    result = run_scenario(Scenario(kind="experiment", params=config)).result
     assert result.hp_job.name == hp.name
     assert [j.name for j in result.be_jobs()] == [be.name]
     assert result.aggregate_throughput == pytest.approx(

@@ -24,13 +24,15 @@ from repro.telemetry import (
 )
 
 
-def _overload(**params):
-    return run_scenario(Scenario(kind="overload", params=params)).result
+def _overload(telemetry=None, **params):
+    """The overload scenario's ``ScenarioResult``."""
+    return run_scenario(Scenario(kind="overload", params=params,
+                                 telemetry=telemetry))
 
 
 def _traced_overload(seed=0, duration=0.08, **kwargs):
-    return _overload(seed=seed, duration=duration,
-                     telemetry=TelemetryConfig(tracing=True), **kwargs)
+    return _overload(TelemetryConfig(tracing=True), seed=seed,
+                     duration=duration, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +173,7 @@ class TestQueueTelemetryShim:
         assert snap["gauges"]["queue_depth{client=c0}"]["max"] == 1
 
     def test_backend_queue_telemetry_keys_unchanged(self):
-        result = _overload(seed=0, duration=0.05)
+        result = _overload(seed=0, duration=0.05).result
         for snap in result.queue_telemetry.values():
             assert set(snap) == {"depth", "enqueued_total", "max_depth_seen",
                                  "rejected_total", "max_depth"}
@@ -180,17 +182,13 @@ class TestQueueTelemetryShim:
         assert any(k.startswith("queue_enqueued_total") for k in counters)
 
     def test_temporal_and_ticktock_wait_stats_schema(self):
-        import dataclasses
-
         from repro.experiments.registry import train_train_config
 
         for backend in ("temporal", "ticktock"):
-            config = dataclasses.replace(
-                train_train_config("mobilenet_v2", "mobilenet_v2", backend,
-                                   seed=0),
-                duration=0.05, warmup=0.0)
+            config = train_train_config("mobilenet_v2", "mobilenet_v2",
+                                        backend, duration=0.05, warmup=0.0)
             result = run_scenario(
-                Scenario(kind="experiment", experiment=config)).result
+                Scenario(kind="experiment", params=config)).result
             telemetry = result.metrics.snapshot()["counters"]
             wait_key = ("slice_wait_total" if backend == "temporal"
                         else "barrier_wait_total")
@@ -207,7 +205,8 @@ class TestChromeTrace:
 
     def test_schema(self, traced):
         payload = json.loads(export_chrome_trace(
-            traced.tracer, utilization_segments=traced.utilization_segments))
+            traced.tracer,
+            utilization_segments=traced.result.utilization_segments))
         assert payload["displayTimeUnit"] == "ms"
         assert payload["metadata"]["tool"] == "repro.telemetry"
         assert isinstance(payload["metadata"]["dropped_events"], int)
@@ -307,14 +306,14 @@ class TestDeterminism:
         first = _traced_overload(seed=0)
         second = _traced_overload(seed=0)
         other = _traced_overload(seed=1)
-        t1 = export_chrome_trace(first.tracer, first.utilization_segments)
-        t2 = export_chrome_trace(second.tracer, second.utilization_segments)
-        t3 = export_chrome_trace(other.tracer, other.utilization_segments)
+        t1 = export_chrome_trace(first.tracer, first.result.utilization_segments)
+        t2 = export_chrome_trace(second.tracer, second.result.utilization_segments)
+        t3 = export_chrome_trace(other.tracer, other.result.utilization_segments)
         assert t1 == t2
         assert t1 != t3
-        m1 = first.metrics.to_json()
-        m2 = second.metrics.to_json()
-        m3 = other.metrics.to_json()
+        m1 = first.result.metrics.to_json()
+        m2 = second.result.metrics.to_json()
+        m3 = other.result.metrics.to_json()
         assert m1 == m2
         assert m1 != m3
         a1 = json.dumps(attribution_report(first.tracer), sort_keys=True)
@@ -324,10 +323,12 @@ class TestDeterminism:
     def test_tracing_does_not_perturb_results(self):
         plain = _overload(seed=0, duration=0.08)
         traced = _traced_overload(seed=0)
-        assert plain.hp_latency.count == traced.hp_latency.count
-        assert plain.hp_latency.p99 == traced.hp_latency.p99
-        assert plain.queue_telemetry == traced.queue_telemetry
-        assert plain.backend_stats == traced.backend_stats
+        assert plain.to_json() == traced.to_json()
+        assert not plain.tracer.enabled and traced.tracer.enabled
+        assert plain.result.queue_telemetry == traced.result.queue_telemetry
+        # Devices record utilization only for a trace's counters.
+        assert not plain.result.utilization_segments
+        assert traced.result.utilization_segments
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +352,8 @@ class TestTraceCli:
     def test_trace_experiment_scenario(self, tmp_path):
         out = tmp_path / "trace.json"
         code = cli_main(["trace", "inf-train", "--out", str(out),
-                         "--duration", "0.05", "--hp", "mobilenet_v2",
-                         "--be", "mobilenet_v2"])
+                         "--duration", "0.05", "--set", "hp=mobilenet_v2",
+                         "--set", "be=mobilenet_v2", "--set", "warmup=0.01"])
         assert code == 0
         payload = json.loads(out.read_text())
         util_counters = [e for e in payload["traceEvents"]

@@ -99,7 +99,8 @@ class TestTypedParams:
             {"seed": 2, "max_batch": 16}
 
     def test_every_params_kind_covered(self):
-        assert set(PARAM_TYPES) == {"overload", "faults", "fleet", "llm"}
+        assert set(PARAM_TYPES) == {"experiment", "overload", "faults",
+                                    "fleet", "llm"}
 
     def test_validate_unknown_key_names_surface(self):
         with pytest.raises(ValueError, match="be_client\\b"):
@@ -143,6 +144,8 @@ class TestTypedParams:
         import repro.cli as cli
         from repro.experiments.registry import make_scenario
 
+        # Experiment scenarios run under their catalog names.
+        command = {"experiment": "inf-train"}.get(kind, kind)
         built = []
 
         class Built(Exception):
@@ -155,18 +158,18 @@ class TestTypedParams:
         def scenario_of(*flags):
             monkeypatch.setattr(cli, "run_scenario", capture)
             with pytest.raises(Built):
-                cli.main([kind, *flags])
+                cli.main([command, *flags])
             return built.pop()
 
         # No flags: exactly the catalog's defaults-only scenario.
-        assert scenario_of() == make_scenario(kind)
+        assert scenario_of() == make_scenario(command)
 
         # --help lists a flag for every scalar knob.
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args([kind, "--help"])
+            cli.build_parser().parse_args([command, "--help"])
         out = capsys.readouterr().out
         scalars = [f for f in dataclasses.fields(PARAM_TYPES[kind])
-                   if f.name not in ("plan", "tenants", "telemetry")]
+                   if f.name not in ("plan", "tenants", "jobs", "orion")]
         for f in scalars:
             assert "--" + f.name.replace("_", "-") in out, f.name
 
