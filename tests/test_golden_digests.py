@@ -8,7 +8,9 @@ pinned too, at seed 0, so the wiring of every (kind, backend) cell is
 covered.  Two traced runs pin the Chrome trace, metrics snapshot and
 attribution report as well: ``repro trace overload`` covers the
 telemetry-on path, and ``repro trace inf-train --set backend=ideal``
-the per-client devices of the ideal backend.  A change that is meant to be
+the per-client devices of the ideal backend.  Three engine-traced runs
+pin the order of execution itself: the ``(sim time, callback)``
+sequence of every executed calendar entry.  A change that is meant to be
 behaviour-preserving (a refactor, a speed-up) must leave every digest
 matching; a semantic drift in the scheduler fails here.
 
@@ -20,6 +22,7 @@ Re-pin deliberately, and only for an intended behaviour change::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -30,6 +33,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments.registry import make_scenario, scenario_names
 from repro.experiments.scenario import run
+from repro.telemetry.tracer import SIM_EVENT, TelemetryConfig
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEEDS = (0, 1)
@@ -67,6 +71,16 @@ TRACE_ARGS = ("trace", "overload", "--duration", "0.05", "--seed", "0")
 IDEAL_TRACE_ARGS = ("trace", "inf-train", "--set", "backend=ideal",
                     "--set", "warmup=0.025", "--duration", "0.1",
                     "--seed", "0")
+#: (catalog name, overrides) cells whose calendar order is pinned, at
+#: seed 0 and the catalog horizon above: the Orion overload path, the
+#: REEF device path, and the multi-GPU fleet.
+ENGINE_ORDER_CELLS = (
+    ("overload_ref", {}),
+    ("inf-train", {"backend": "reef"}),
+    ("fleet_ref", {}),
+)
+ENGINE_TELEMETRY = TelemetryConfig(tracing=True, engine_events=True,
+                                   capacity=1 << 22)
 
 
 def _sha(data: str) -> str:
@@ -109,6 +123,25 @@ def trace_digests(args) -> dict:
                 for kind, path in out.items()}
 
 
+def _engine_key(name: str, overrides: dict) -> str:
+    return _backend_key(name, overrides["backend"], {}) if overrides \
+        else _cell_key(name, 0)
+
+
+def engine_order_digest(name: str, overrides: dict) -> dict:
+    """Count and sha256 of the ``(sim time, callback __qualname__)``
+    sequence of every calendar entry one run executes."""
+    scenario = dataclasses.replace(
+        make_scenario(name, seed=0, duration=HORIZON[name], **overrides),
+        telemetry=ENGINE_TELEMETRY)
+    result = run(scenario)
+    assert not result.tracer.dropped
+    events = [f"{ts!r} {label}"
+              for _, ts, label in result.tracer.iter_events(SIM_EVENT)]
+    assert len(events) == result.events_processed
+    return {"events": len(events), "sha256": _sha("\n".join(events))}
+
+
 def _pinned() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -147,6 +180,15 @@ def test_traced_overload_digests_match_pin(capsys):
 def test_traced_ideal_digests_match_pin(capsys):
     assert trace_digests(IDEAL_TRACE_ARGS) == \
         _pinned()["trace"][_trace_key(IDEAL_TRACE_ARGS)]
+
+
+@pytest.mark.parametrize("name,overrides", ENGINE_ORDER_CELLS,
+                         ids=[_engine_key(*cell) for cell in ENGINE_ORDER_CELLS])
+def test_engine_order_matches_pin(name, overrides):
+    """Same events in the same order: ``events_processed`` pins only
+    how many calendar entries ran, this pins which ones and when."""
+    assert engine_order_digest(name, overrides) == \
+        _pinned()["engine_order"][_engine_key(name, overrides)]
 
 
 @pytest.mark.parametrize("name", sorted(HORIZON))
@@ -188,11 +230,14 @@ def _pin() -> None:
                 for cell in BACKEND_CELLS}
     traces = {_trace_key(args): trace_digests(args)
               for args in (TRACE_ARGS, IDEAL_TRACE_ARGS)}
+    engine_order = {_engine_key(*cell): engine_order_digest(*cell)
+                    for cell in ENGINE_ORDER_CELLS}
     payload = {"scenarios": scenarios, "backends": backends,
-               "trace": traces}
+               "trace": traces, "engine_order": engine_order}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"pinned {len(scenarios)} scenario digests, {len(backends)} "
-          f"backend cells + {len(traces)} traces to {GOLDEN}")
+          f"backend cells, {len(traces)} traces + {len(engine_order)} "
+          f"engine orders to {GOLDEN}")
 
 
 if __name__ == "__main__":
