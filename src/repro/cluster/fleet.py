@@ -453,7 +453,7 @@ class FleetRouter:
         self._dispatched: Dict[str, int] = {}
         # (tenant, gpu) pairs a migration has cordoned: no new dispatches.
         self._cordoned: set = set()
-        # Jobs waiting out a failover backoff (scheduled via call_in):
+        # Jobs waiting out a failover backoff (scheduled via call_later):
         # tracked so horizon-end accounting never loses one mid-backoff.
         self._backoff_pending: List[FleetJob] = []
         # Accounting (all deterministic).
@@ -636,7 +636,7 @@ class FleetRouter:
             delay = min(policy.backoff_cap,
                         policy.backoff_base * 2.0 ** (job.attempts - 1))
             self._backoff_pending.append(job)
-            self.sim.call_in(delay, lambda j=job: self._readmit(j))
+            self.sim.call_later(delay, lambda j=job: self._readmit(j))
 
     def _readmit(self, job: FleetJob) -> None:
         # Re-admission bypasses max_queued: the job was already admitted

@@ -143,7 +143,7 @@ class FaultInjector:
             fired[0] = True
             # Defer: the hook runs inside the victim's own issue path,
             # and deregistration must not reenter the submitting stream.
-            self.sim.call_in(0.0, lambda: self._execute(event))
+            self.sim.call_soon(lambda: self._execute(event))
 
         ctx.add_op_hook(hook)
 

@@ -114,9 +114,9 @@ class PcieEngine:
         done = Signal(self.sim)
         channel = self._channels[direction]
         if nbytes == 0:
-            self.sim.call_in(self.latency, lambda: done.trigger(self.sim.now))
+            self.sim.call_later(self.latency, lambda: done.trigger(self.sim.now))
             return done
         transfer = PcieTransfer(nbytes, done, self.sim.now)
         # Setup latency before the transfer occupies the channel.
-        self.sim.call_in(self.latency, lambda: channel.add(transfer))
+        self.sim.call_later(self.latency, lambda: channel.add(transfer))
         return done

@@ -78,12 +78,6 @@ class Stream:
         self.device.notify_work(self)
         return done
 
-    def head(self) -> Optional[StreamOp]:
-        """The next dispatchable op, if the stream is idle and has work."""
-        if self.in_flight is not None or not self.queue:
-            return None
-        return self.queue[0]
-
     def synchronize_signal(self) -> Signal:
         """Signal that fires when all currently-submitted work completes."""
         if self.last_op_done is None or self.last_op_done.triggered:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .classify import classify_kernel
-from .kernel import KernelOp, KernelSpec
+from .kernel import KernelOp, KernelSpec, _op_ids, check_kernel_costs
 from .launch import sm_needed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +48,8 @@ __all__ = ["KernelCost", "kernel_cost", "instantiate_kernel", "solo_duration",
 SATURATION_BLOCKS_PER_SM = 1.0
 # Floor so pathological single-block launches still make progress.
 MIN_OCCUPANCY = 0.05
+
+_new_op = object.__new__
 
 
 def occupancy_factor(spec: KernelSpec, device: "DeviceSpec") -> float:
@@ -70,7 +72,8 @@ class KernelCost:
     Everything :func:`instantiate_kernel` derives from ``(spec, device)``
     — solo duration, utilizations, SM footprint, roofline class — is a
     pure function of the pair, so an owner that launches the same spec
-    repeatedly binds it once and calls :meth:`launch` per launch.
+    repeatedly binds it once and calls :meth:`launch` per launch.  The
+    fields are validated here, once, with ``KernelOp``'s own checks.
     """
 
     __slots__ = ("spec", "duration", "compute_util", "memory_util",
@@ -78,11 +81,15 @@ class KernelCost:
 
     def __init__(self, spec: KernelSpec, device: "DeviceSpec"):
         duration = solo_duration(spec, device)
+        if duration <= 0:  # checked first: the utilizations divide by it
+            check_kernel_costs(spec.name, duration, 0.0, 0.0, 1)
         self.spec = spec
         self.duration = duration
         self.compute_util = min(1.0, spec.flops / duration / device.peak_flops)
         self.memory_util = min(1.0, spec.bytes_moved / duration / device.memory_bandwidth)
         self.sm_needed = min(device.num_sms, sm_needed(spec.launch, device.sm_limits))
+        check_kernel_costs(spec.name, duration, self.compute_util,
+                           self.memory_util, self.sm_needed)
         self.profile = classify_kernel(
             self.compute_util,
             self.memory_util,
@@ -90,17 +97,24 @@ class KernelCost:
         )
 
     def launch(self, client_id: Optional[str] = None, tag: str = "") -> KernelOp:
-        """A fresh launch (new ``seq``; validated by ``KernelOp``)."""
-        return KernelOp(
-            spec=self.spec,
-            duration=self.duration,
-            compute_util=self.compute_util,
-            memory_util=self.memory_util,
-            sm_needed=self.sm_needed,
-            profile=self.profile,
-            client_id=client_id,
-            tag=tag,
-        )
+        """A fresh launch with a new ``seq``.
+
+        The op skips ``KernelOp.__init__`` (its checks ran at bind
+        time).  Its fields are stored one by one in ``__init__``'s
+        order, so the op keeps CPython's key-sharing instance dict: no
+        more bytes than an op built directly.
+        """
+        op = _new_op(KernelOp)
+        op.spec = self.spec
+        op.duration = self.duration
+        op.compute_util = self.compute_util
+        op.memory_util = self.memory_util
+        op.sm_needed = self.sm_needed
+        op.profile = self.profile
+        op.client_id = client_id
+        op.seq = next(_op_ids)
+        op.tag = tag
+        return op
 
 
 def kernel_cost(spec: KernelSpec, device: "DeviceSpec") -> KernelCost:

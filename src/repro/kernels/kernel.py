@@ -65,6 +65,19 @@ class KernelSpec:
 _op_ids = itertools.count()
 
 
+def check_kernel_costs(name: str, duration: float, compute_util: float,
+                       memory_util: float, sm_needed: int) -> None:
+    """Raise ``ValueError`` unless the device-dependent fields of a
+    :class:`KernelOp` are valid (run once per op built directly, and
+    once per ``KernelCost`` for the ops it launches)."""
+    if duration <= 0:
+        raise ValueError(f"kernel {name}: non-positive duration")
+    if not (0 <= compute_util <= 1 and 0 <= memory_util <= 1):
+        raise ValueError(f"kernel {name}: utilization out of [0,1]")
+    if sm_needed < 1:
+        raise ValueError(f"kernel {name}: sm_needed must be >= 1")
+
+
 @dataclass
 class KernelOp:
     """One dynamic launch of a kernel by a client.
@@ -72,7 +85,9 @@ class KernelOp:
     ``duration`` is the solo execution time on the target device;
     ``compute_util`` / ``memory_util`` are the fractions of device peak
     compute throughput / memory bandwidth the kernel consumes while
-    running solo.  All three are filled in by the device cost model.
+    running solo.  All three are filled in by the device cost model,
+    whose ``KernelCost.launch`` builds ops without ``__post_init__``:
+    it validated the same fields once, at bind time.
     """
 
     spec: KernelSpec
@@ -86,12 +101,8 @@ class KernelOp:
     tag: str = ""
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"kernel {self.spec.name}: non-positive duration")
-        if not (0 <= self.compute_util <= 1 and 0 <= self.memory_util <= 1):
-            raise ValueError(f"kernel {self.spec.name}: utilization out of [0,1]")
-        if self.sm_needed < 1:
-            raise ValueError(f"kernel {self.spec.name}: sm_needed must be >= 1")
+        check_kernel_costs(self.spec.name, self.duration, self.compute_util,
+                           self.memory_util, self.sm_needed)
 
     @property
     def name(self) -> str:

@@ -317,7 +317,7 @@ class Backend(abc.ABC):
     def _start_scheduler(self) -> None:
         """Run the first scheduler pass as one zero-delay event.  Wakes
         before it fires are folded into it."""
-        self.sim.call_in(0.0, self._first_pass)
+        self.sim.call_soon(self._first_pass)
 
     def _first_pass(self) -> None:
         self._in_pass = False

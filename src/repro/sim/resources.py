@@ -23,8 +23,9 @@ class FifoLock:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._held = False
-        self._waiters: Deque[tuple[int, int, Signal]] = deque()
-        self._seq = 0
+        # (priority, grant signal), highest priority first, FIFO
+        # within a priority.
+        self._waiters: Deque[tuple[int, Signal]] = deque()
         self.holder: Optional[str] = None
 
     @property
@@ -39,10 +40,13 @@ class FifoLock:
             self.holder = holder
             granted.trigger()
             return granted
-        self._seq += 1
-        self._waiters.append((priority, self._seq, granted))
-        # Keep highest priority first, FIFO within priority.
-        self._waiters = deque(sorted(self._waiters, key=lambda w: (-w[0], w[1])))
+        # Ordered insert: behind every waiter of the same or a higher
+        # priority, ahead of every lower one.
+        waiters = self._waiters
+        index = len(waiters)
+        while index and waiters[index - 1][0] < priority:
+            index -= 1
+        waiters.insert(index, (priority, granted))
         return granted
 
     def cancel(self, granted: Signal) -> bool:
@@ -50,7 +54,7 @@ class FifoLock:
         True if the waiter was found and removed; a grant that already
         fired cannot be cancelled — release the lock instead."""
         for waiter in self._waiters:
-            if waiter[2] is granted:
+            if waiter[1] is granted:
                 self._waiters.remove(waiter)
                 return True
         return False
@@ -59,7 +63,7 @@ class FifoLock:
         if not self._held:
             raise RuntimeError("release of a lock that is not held")
         if self._waiters:
-            _, _, granted = self._waiters.popleft()
+            _, granted = self._waiters.popleft()
             granted.trigger()
         else:
             self._held = False

@@ -1,11 +1,16 @@
 """Unit tests for kernel descriptors, launch occupancy, and the cost model."""
 
+import dataclasses
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.gpu.specs import A100_40GB, V100_16GB
 from repro.kernels.classify import UTILIZATION_THRESHOLD, classify_kernel
 from repro.kernels.costmodel import (
     MIN_OCCUPANCY,
+    KernelCost,
     instantiate_kernel,
     occupancy_factor,
     solo_duration,
@@ -201,6 +206,74 @@ def test_kernel_ops_have_unique_seq():
     a = instantiate_kernel(spec, V100_16GB)
     b = instantiate_kernel(spec, V100_16GB)
     assert a.seq != b.seq
+
+
+def test_launch_matches_a_directly_built_op():
+    cost = KernelCost(compute_spec(), V100_16GB)
+    op = cost.launch("c0", "fwd")
+    direct = KernelOp(spec=cost.spec, duration=cost.duration,
+                      compute_util=cost.compute_util,
+                      memory_util=cost.memory_util, sm_needed=cost.sm_needed,
+                      profile=cost.profile, client_id="c0", seq=op.seq,
+                      tag="fwd")
+    assert op == direct
+    assert vars(op) == vars(direct)
+    assert list(vars(op)) == list(vars(direct))
+
+
+def _bytes_per_op(make, n=10_000) -> float:
+    [make() for _ in range(100)]  # warm caches before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ops = [make() for _ in range(n)]
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ops) == n
+    return current / n
+
+
+def test_launch_allocates_no_more_than_a_direct_op():
+    """Launched ops keep CPython's key-sharing instance dict: filling
+    ``__dict__`` any other way roughly doubles the bytes per op."""
+    cost = KernelCost(compute_spec(), V100_16GB)
+
+    def direct():
+        return KernelOp(spec=cost.spec, duration=cost.duration,
+                        compute_util=cost.compute_util,
+                        memory_util=cost.memory_util,
+                        sm_needed=cost.sm_needed, profile=cost.profile,
+                        client_id="c0", tag="fwd")
+
+    direct_bytes = _bytes_per_op(direct)
+    launched_bytes = _bytes_per_op(lambda: cost.launch("c0", "fwd"))
+    assert launched_bytes <= direct_bytes * 1.02
+
+
+@pytest.mark.parametrize("min_duration", [0.0, -1e-6])
+def test_kernel_cost_validates_at_bind_time(min_duration):
+    """A derived field ``KernelOp`` would reject fails when the spec is
+    bound, not at its first launch."""
+    device = dataclasses.replace(V100_16GB, kernel_min_duration=min_duration)
+    idle = KernelSpec("idle", flops=0.0, bytes_moved=0.0,
+                      launch=LaunchConfig(num_blocks=1, threads_per_block=32))
+    with pytest.raises(ValueError, match="non-positive duration"):
+        KernelCost(idle, device)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("duration", 0.0), ("compute_util", 1.5), ("memory_util", -0.1),
+    ("sm_needed", 0)])
+def test_directly_built_kernel_op_is_validated(field, value):
+    cost = KernelCost(compute_spec(), V100_16GB)
+    fields = dict(spec=cost.spec, duration=cost.duration,
+                  compute_util=cost.compute_util,
+                  memory_util=cost.memory_util, sm_needed=cost.sm_needed,
+                  profile=cost.profile)
+    fields[field] = value
+    with pytest.raises(ValueError):
+        KernelOp(**fields)
 
 
 def test_kernel_spec_validation():

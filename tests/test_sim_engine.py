@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -194,3 +196,206 @@ def test_clock_monotonic_across_many_events():
     sim.run()
     assert times == sorted(times)
     assert len(times) == 200
+
+
+def test_active_is_false_after_firing():
+    sim = Simulator()
+    handle = sim.call_at(1.0, lambda: None)
+    assert handle.active
+    sim.run()
+    assert handle.fired and not handle.active
+    handle.cancel()  # no-op once fired
+    assert handle.fired and not handle.cancelled
+
+
+def test_zero_delay_calls_keep_schedule_order_with_timers():
+    """Zero-delay calls (the ready lane) and timers due at the same
+    instant run in the order they were scheduled."""
+    sim = Simulator()
+    order = []
+
+    def at_one():
+        order.append("timer")
+        sim.call_soon(lambda: order.append("soon"))
+        sim.call_at(1.0, lambda: order.append("at-now"))
+        sim.call_in(0.0, lambda: order.append("in-0"))
+        sim.call_later(0.0, lambda: order.append("later-0"))
+
+    sim.call_at(1.0, at_one)
+    sim.call_at(1.0, lambda: order.append("timer-2"))
+    sim.call_soon(lambda: order.append("first"))
+    sim.run()
+    assert order == ["first", "timer", "timer-2", "soon", "at-now",
+                     "in-0", "later-0"]
+
+
+def test_call_later_checks_its_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_later(-1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.call_later(float("nan"), lambda: None)
+
+
+def test_cancelled_ready_entry_does_not_fire():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_in(0.0, lambda: seen.append("x"))
+    sim.call_soon(lambda: seen.append("y"))
+    handle.cancel()
+    assert sim.peek() == 0.0
+    sim.run()
+    assert seen == ["y"] and not handle.active
+
+
+# ----------------------------------------------------------------------
+# Property test: the calendar against a list-scan reference
+# ----------------------------------------------------------------------
+KINDS = ("at", "in", "later", "soon", "cancel")
+DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0)
+
+
+class _ListCalendar:
+    """Reference calendar: a flat list scanned for the least
+    (time, seq) live entry."""
+
+    class Handle:
+        def __init__(self, entry):
+            self.entry = entry
+
+        def cancel(self):
+            self.entry[3] = True
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+        self.seq = 0
+
+    def call_at(self, time, callback):
+        entry = [time, self.seq, callback, False]
+        self.seq += 1
+        self.entries.append(entry)
+        return self.Handle(entry)
+
+    def call_in(self, delay, callback):
+        return self.call_at(self.now + delay, callback)
+
+    def call_later(self, delay, callback):
+        self.call_in(delay, callback)
+
+    def call_soon(self, callback):
+        self.call_in(0.0, callback)
+
+    def run(self):
+        while True:
+            live = [e for e in self.entries if not e[3]]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            self.entries.remove(entry)
+            self.now = entry[0]
+            entry[2]()
+
+
+class _Program:
+    """Replays a generated program of schedule and cancel ops on a
+    calendar.  Op ``i`` is issued at the start, or from inside the
+    callback of the op that is its parent, at that callback's time."""
+
+    def __init__(self, ops, calendar):
+        self.ops = ops
+        self.cal = calendar
+        self.children = {i: [] for i in range(-1, len(ops))}
+        for i, (kind, _, parent, _) in enumerate(ops):
+            parent = parent % (i + 1) - 1
+            if parent >= 0 and ops[parent][0] == "cancel":
+                parent = -1
+            self.children[parent].append(i)
+        self.handles = {}
+        self.log = []  # (op index, time fired)
+        self.cancelled = set()  # ops cancelled before they fired
+
+    def start(self):
+        for i in self.children[-1]:
+            self._issue(i)
+
+    def _issue(self, i):
+        kind, delay, _, target = self.ops[i]
+        cal = self.cal
+
+        def fire():
+            self._fire(i)
+
+        if kind == "cancel":
+            target %= max(i, 1)
+            handle = self.handles.get(target)
+            if handle is not None:
+                handle.cancel()
+                if target not in self.fired_ops:
+                    self.cancelled.add(target)
+        elif kind == "soon":
+            cal.call_soon(fire)
+        elif kind == "later":
+            cal.call_later(delay, fire)
+        elif kind == "at":
+            self.handles[i] = cal.call_at(cal.now + delay, fire)
+        else:
+            self.handles[i] = cal.call_in(delay, fire)
+
+    @property
+    def fired_ops(self):
+        return {i for i, _ in self.log}
+
+    def _fire(self, i):
+        self.log.append((i, self.cal.now))
+        for child in self.children[i]:
+            self._issue(child)
+
+
+_ops = st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS),
+                          st.integers(0, 64), st.integers(0, 64)),
+                min_size=1, max_size=40)
+_drives = st.lists(st.one_of(
+    st.just(("step",)), st.just(("peek",)),
+    st.tuples(st.just("until"), st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5))),
+    st.tuples(st.just("max"), st.integers(0, 4))), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops, _drives)
+def test_calendar_matches_reference_order(ops, drives):
+    reference = _Program(ops, _ListCalendar())
+    reference.start()
+    reference.cal.run()
+    expected = reference.log
+
+    program = _Program(ops, Simulator())
+    sim = program.cal
+    program.start()
+    for drive in drives:
+        before = len(program.log)
+        if drive[0] == "peek":
+            assert sim.peek() == (expected[before][1]
+                                  if before < len(expected) else None)
+        elif drive[0] == "step":
+            assert sim.step() is (before < len(expected))
+            assert len(program.log) == min(before + 1, len(expected))
+        elif drive[0] == "max":
+            sim.run(max_events=drive[1])
+            assert len(program.log) == min(before + drive[1], len(expected))
+        else:
+            until = sim.now + drive[1]
+            assert sim.run(until=until) == until
+            done = len(program.log)
+            assert all(t <= until for _, t in expected[before:done])
+            assert done == len(expected) or expected[done][1] > until
+        assert program.log == expected[:len(program.log)]
+        for i, handle in program.handles.items():
+            assert handle.active is (i not in program.fired_ops
+                                     and i not in program.cancelled)
+    sim.run()
+    assert program.log == expected
+    assert sim.events_processed == len(expected)
+    for i, handle in program.handles.items():
+        assert not handle.active
+        assert handle.fired is (i not in program.cancelled)

@@ -70,8 +70,30 @@ def test_priority_waiters_jump_queue():
     spawn(sim, worker("holder", 0))
     spawn(sim, launch())
     sim.run()
-    assert order[0] == "holder"
-    assert order[1] == "high"
+    assert order == ["holder", "high", "low-1", "low-2"]
+
+
+def test_waiters_granted_by_priority_then_fifo():
+    """Grant order is (-priority, arrival) over many interleaved
+    priority classes, including waiters that cancel."""
+    sim = Simulator()
+    lock = FifoLock(sim)
+    priorities = [0, 2, 1, 2, 0, 1, 3, 0, 2, 1]
+    granted_order = []
+    assert lock.acquire(holder="holder").triggered
+    grants = []
+    for i, priority in enumerate(priorities):
+        grant = lock.acquire(priority=priority, holder=str(i))
+        grant.add_callback(lambda _s, i=i: granted_order.append(i))
+        grants.append(grant)
+    assert lock.cancel(grants[3]) and lock.cancel(grants[7])
+    for _ in range(len(priorities) - 2):
+        lock.release()
+    expected = sorted((i for i in range(len(priorities)) if i not in (3, 7)),
+                      key=lambda i: (-priorities[i], i))
+    assert granted_order == expected
+    lock.release()
+    assert not lock.locked
 
 
 def test_lock_stays_held_across_handoff():
