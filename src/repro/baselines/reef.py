@@ -112,13 +112,7 @@ class ReefBackend(Backend):
         else:
             queue = self._be[client_id].queue
             if queue.full:
-                queue.rejected_total += 1
-                done = Signal(self.sim)
-                done.trigger(None, error=CudaError(
-                    CudaErrorCode.QUEUE_FULL,
-                    f"software queue full (depth {queue.depth}/{queue.max_depth})",
-                    client_id=client_id, time=self.sim.now))
-                return done
+                return queue.reject()
             done = queue.push(op)
         self._wake_scheduler()
         return done

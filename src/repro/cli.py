@@ -8,7 +8,6 @@
     python -m repro llm        --backend orion --request-rate 80
     python -m repro trace      llm_ref --duration 0.1 --out llm.trace.json
     python -m repro sweep      --scenarios overload_ref --seeds 0,1,2,3
-    python -m repro bench      --smoke
     python -m repro profile    --model bert --kind inference
     python -m repro scenarios  --json
     python -m repro serve      --socket /tmp/repro-serve.sock --workers 2
@@ -232,24 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the merged canonical JSON here "
                         "(default: stdout)")
 
-    p = sub.add_parser("bench",
-                       help="time the reference scenarios vs the pinned "
-                            "baseline; write BENCH_sim.json")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI mode: one repeat, nonzero exit on a "
-                        ">25%% ops/sec regression vs the baseline")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats per scenario, best-of (default 3)")
-    p.add_argument("--out", default=None,
-                   help="report path (default: BENCH_sim.json at repo root)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline path (default: "
-                        "benchmarks/baselines/bench_baseline.json)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="re-pin the committed baseline to this run")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report JSON")
-
     p = sub.add_parser("profile", help="offline-profile one workload (§5.2)")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--kind", default="inference",
@@ -260,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenarios",
                        help="list the named-scenario catalog (the valid "
-                            "submit/sweep/bench targets)")
+                            "submit/sweep/trace targets)")
     p.add_argument("--json", action="store_true",
                    help="emit the catalog as JSON")
 
@@ -631,32 +612,6 @@ def _run_sweep(args) -> None:
         print(payload)
 
 
-def _run_bench(args) -> int:
-    from repro.bench import run_bench
-
-    report = run_bench(repeats=args.repeats, smoke=args.smoke,
-                       baseline_path=args.baseline, out_path=args.out,
-                       update_baseline=args.update_baseline)
-    if args.json:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    else:
-        for name, entry in report["scenarios"].items():
-            line = (f"{name}: {entry['ops_per_sec']:,.0f} ops/s  "
-                    f"({entry['events']} events in {entry['wall_s']:.2f}s)")
-            if "speedup" in entry:
-                line += f"  {entry['speedup']:.2f}x vs baseline"
-            print(line)
-        if not report["baseline_found"]:
-            print(f"no baseline at {report['baseline_path']} — "
-                  "comparison skipped")
-    if report["regressions"]:
-        print(f"REGRESSION (> {report['regression_tolerance']:.0%} below "
-              f"baseline): {', '.join(report['regressions'])}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_scenarios(args) -> None:
     from repro.experiments.registry import scenario_catalog
 
@@ -848,8 +803,6 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         _run_sweep(args)
         return 0
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "scenarios":
         _run_scenarios(args)
         return 0

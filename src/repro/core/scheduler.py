@@ -291,16 +291,10 @@ class OrionBackend(Backend):
     def _reject_overload(self, queue: SoftwareQueue, client_id: str) -> Signal:
         """Load shedding at the queue: complete immediately with the
         retryable ``QUEUE_FULL`` status instead of enqueueing."""
-        queue.rejected_total += 1
         if self.tracer.enabled:
             self.tracer.instant("scheduler", "queue_reject",
                                 client=client_id, depth=queue.depth)
-        done = Signal(self.sim)
-        done.trigger(None, error=CudaError(
-            CudaErrorCode.QUEUE_FULL,
-            f"software queue full (depth {queue.depth}/{queue.max_depth})",
-            client_id=client_id, time=self.sim.now))
-        return done
+        return queue.reject()
 
     def admission_gate(self, client_id: str) -> Optional[Signal]:
         """Backpressure: block a best-effort client whose bounded queue

@@ -8,8 +8,8 @@ Each config builder returns the :class:`ExperimentParams` of one
 
 The bottom half of the module is the named-:class:`Scenario` catalog:
 ``make_scenario(name, seed=..., duration=..., **overrides)`` builds a
-complete scenario description the CLI, the sweep engine, and the bench
-harness all share.  Names ending in ``_ref`` are the pinned benchmark
+complete scenario description the CLI, the sweep engine, and the
+``benchmarks/perf`` benchmark all share.  Names ending in ``_ref`` are the pinned benchmark
 references (fixed workloads and horizons, see DESIGN.md §6.4).
 """
 
@@ -143,7 +143,7 @@ def _pair(name: str, maker: Callable[..., ExperimentParams], hp: str,
 
 #: name -> builder(seed=..., duration=..., **overrides) -> Scenario.
 #: The ``*_ref`` entries are the benchmark references: their workloads
-#: and horizons are pinned so ops/sec numbers stay comparable across
+#: and horizons are pinned so wall times stay comparable across
 #: commits (DESIGN.md §6.4).
 SCENARIOS: Dict[str, _Entry] = {
     "inf-train": _pair("inf-train", inf_train_config, "resnet50",

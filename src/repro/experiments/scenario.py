@@ -16,8 +16,9 @@ cells produce byte-identical JSON no matter where or in which process
 they ran, traced or not: the property the sweep engine's merge step
 relies on.
 
-Named scenarios (the catalog the CLI, sweep, and bench share) live in
-:mod:`repro.experiments.registry` as ``make_scenario(name, ...)``.
+Named scenarios (the catalog the CLI, sweep, and perf benchmark
+share) live in :mod:`repro.experiments.registry` as
+``make_scenario(name, ...)``.
 
 Scenarios are validated at construction against the typed dataclasses
 in :mod:`repro.experiments.params`.  An unknown or out-of-range knob, or
@@ -111,7 +112,7 @@ class ScenarioResult:
     ``result`` is the family-specific object (``ExperimentResult``,
     ``OverloadResult``, ``FaultScenarioResult``, ``FleetResult`` or
     ``LlmServeResult``).  The wrapper adds
-    the accounting every caller (bench, sweep, CLI) needs without
+    the accounting every caller (sweep, CLI, serve) needs without
     re-deriving it: simulator events processed, simulated seconds, and
     wall-clock seconds, plus the run's tracer (``NULL_TRACER`` unless
     the scenario asked for tracing).  Wall-clock is deliberately
@@ -125,12 +126,6 @@ class ScenarioResult:
     sim_time: float
     wall_time: float
     tracer: object = NULL_TRACER
-
-    @property
-    def ops_per_sec(self) -> float:
-        """Simulator events processed per wall-clock second."""
-        return self.events_processed / self.wall_time if self.wall_time > 0 \
-            else 0.0
 
     def canonical(self) -> Dict[str, Any]:
         """Deterministic plain-data rendering (wall-clock excluded)."""

@@ -15,8 +15,8 @@ canonical results into one report.  Three properties are load-bearing:
   ``status: "crashed"``.  The sweep itself always returns a report.
 * **Shared catalog.**  Cells are named scenarios from
   :func:`repro.experiments.registry.make_scenario`, the same catalog
-  the CLI and bench use — a sweep is just the grid-shaped way to run
-  them.
+  the CLI and perf benchmark use — a sweep is just the grid-shaped way
+  to run them.
 
 Used by ``python -m repro sweep``.
 """

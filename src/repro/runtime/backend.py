@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Union
 
 from repro.gpu.device import GpuDevice
+from repro.gpu.errors import CudaError, CudaErrorCode
 from repro.kernels.kernel import KernelOp, MemoryOp
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
@@ -112,32 +113,17 @@ class SoftwareQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    # Back-compat shim: the PR-2 telemetry attributes stay readable and
-    # writable (backends do ``queue.rejected_total += 1``) while the
-    # values live on registry instruments.
     @property
     def enqueued_total(self) -> int:
         return self._m_enqueued.value
-
-    @enqueued_total.setter
-    def enqueued_total(self, value: int) -> None:
-        self._m_enqueued.value = value
 
     @property
     def rejected_total(self) -> int:
         return self._m_rejected.value
 
-    @rejected_total.setter
-    def rejected_total(self, value: int) -> None:
-        self._m_rejected.value = value
-
     @property
     def max_depth_seen(self) -> int:
         return self._m_depth.max_seen
-
-    @max_depth_seen.setter
-    def max_depth_seen(self, value: int) -> None:
-        self._m_depth.max_seen = value
 
     @property
     def depth(self) -> int:
@@ -154,6 +140,17 @@ class SoftwareQueue:
         self._m_depth.set(len(self._items))
         if self.tracer.enabled:
             self.tracer.op_enqueue(self.client_id, op.seq, len(self._items))
+        return done
+
+    def reject(self) -> Signal:
+        """Count one refused push and return its completion: already
+        triggered with the retryable ``QUEUE_FULL`` status."""
+        self._m_rejected.inc()
+        done = Signal(self.sim)
+        done.trigger(None, error=CudaError(
+            CudaErrorCode.QUEUE_FULL,
+            f"software queue full (depth {len(self._items)}/{self.max_depth})",
+            client_id=self.client_id, time=self.sim.now))
         return done
 
     def peek(self) -> Optional[Op]:

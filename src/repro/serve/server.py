@@ -1039,7 +1039,7 @@ def _build_scenario(request: Dict[str, Any]):
 
     Two submission shapes: ``{"name": <registry name>, "seed",
     "duration", "overrides"}`` goes through ``make_scenario`` (the same
-    catalog the CLI/sweep/bench use), and ``{"scenario": {"kind",
+    catalog the CLI/sweep/trace use), and ``{"scenario": {"kind",
     "params"}}`` builds an inline Scenario, validated like any other.
     """
     seed = request.get("seed", 0)

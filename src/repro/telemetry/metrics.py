@@ -57,9 +57,8 @@ DEFAULT_LATENCY_BUCKETS = _bucket_ladder(1e-6, 10.0)
 class Counter:
     """Monotonic (by convention) accumulator.
 
-    ``value`` is a plain attribute so legacy call sites that did
-    ``stats_dict["key"] += 1`` keep working through the back-compat
-    properties layered on top (e.g. ``SoftwareQueue.enqueued_total``).
+    ``value`` is a plain attribute: hot paths bump it with
+    ``counter.value += 1`` and skip the :meth:`inc` call frame.
     """
 
     __slots__ = ("value",)

@@ -13,7 +13,7 @@ def test_parser_requires_command():
 
 
 ALL_SUBCOMMANDS = ("inf-train", "train-train", "inf-inf", "faults",
-                   "fleet", "overload", "trace", "sweep", "bench", "profile",
+                   "fleet", "overload", "trace", "sweep", "profile",
                    "scenarios", "serve", "submit", "status", "cancel")
 
 

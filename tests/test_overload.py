@@ -85,7 +85,7 @@ def test_queue_full_and_snapshot_counters():
     assert not queue.full
     queue.push(make_kernel(compute_spec()))
     assert queue.full
-    queue.rejected_total += 1
+    assert queue.reject().error.code is CudaErrorCode.QUEUE_FULL
     snap = queue.snapshot()
     assert snap == {"depth": 2, "enqueued_total": 2, "max_depth_seen": 2,
                     "rejected_total": 1, "max_depth": 2}
@@ -498,19 +498,39 @@ def test_queue_telemetry_uniform_across_backends():
     assert backends["ticktock"].queue_telemetry()["hp"]["depth"] == 1
 
 
-def test_reef_bounded_be_queue_rejects():
+def _bounded_backend(name, sim):
     from repro.baselines.reef import ReefBackend
 
+    device = GpuDevice(sim, V100_16GB)
+    if name == "reef":
+        return ReefBackend(sim, device, be_queue_depth=2)
+    return OrionBackend(sim, device, ProfileStore(),
+                        OrionConfig(be_queue_depth=2,
+                                    overload_policy="reject"))
+
+
+@pytest.mark.parametrize("name", ["reef", "orion"])
+def test_bounded_be_queue_rejects(name):
+    """Orion's reject policy and REEF's bounded queue shed through the
+    same SoftwareQueue.reject: same codes, message and counter."""
     sim = Simulator()
-    backend = ReefBackend(sim, GpuDevice(sim, V100_16GB), be_queue_depth=2)
+    backend = _bounded_backend(name, sim)
     backend.register_client("be", False, "training")
     # Don't start the scheduler: pushes accumulate.
     rejected = []
     for _ in range(4):
         done = backend.submit("be", make_kernel(compute_spec()))
         if done.error is not None:
-            rejected.append(done.error.code)
-    assert rejected == [CudaErrorCode.QUEUE_FULL, CudaErrorCode.QUEUE_FULL]
+            rejected.append(done.error)
+    assert [e.code for e in rejected] == [CudaErrorCode.QUEUE_FULL] * 2
+    assert [(e.client_id, e.message) for e in rejected] == \
+        [("be", "software queue full (depth 2/2)")] * 2
     assert backend.queue_telemetry()["be"]["rejected_total"] == 2
+
+
+def test_reef_rejects_nonpositive_queue_depth():
+    from repro.baselines.reef import ReefBackend
+
+    sim = Simulator()
     with pytest.raises(ValueError):
         ReefBackend(sim, GpuDevice(sim, V100_16GB), be_queue_depth=0)

