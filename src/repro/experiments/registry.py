@@ -9,8 +9,9 @@ Each config builder returns the :class:`ExperimentParams` of one
 The bottom half of the module is the named-:class:`Scenario` catalog:
 ``make_scenario(name, seed=..., duration=..., **overrides)`` builds a
 complete scenario description the CLI, the sweep engine, and the
-``benchmarks/perf`` benchmark all share.  Names ending in ``_ref`` are the pinned benchmark
-references (fixed workloads and horizons, see DESIGN.md §6.4).
+``benchmarks/perf`` benchmark all share.  Names ending in ``_ref`` are
+the pinned benchmark references (fixed workloads and horizons, see
+DESIGN.md §6.4).
 """
 
 from __future__ import annotations
