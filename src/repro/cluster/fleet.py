@@ -45,7 +45,7 @@ import hashlib
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import OrionConfig
 from repro.experiments.params import FleetParams
@@ -57,10 +57,15 @@ from repro.frameworks.lowering import bind_plan
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.runtime.client import ClientContext
-from repro.sim.process import Interrupted, Process, Signal, Timeout, spawn
+from repro.sim.process import Interrupted, Process, Signal, spawn
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.clients import ClientStats, RequestRecord
+from repro.workloads.clients import (
+    ClientStats,
+    RequestRecord,
+    arrival_loop,
+    launch_ops,
+)
 from repro.workloads.registry import build_plan
 
 from .placement import (
@@ -276,6 +281,13 @@ class _TenantWorker:
 
     def shutdown(self) -> List[FleetJob]:
         """Tear the worker down (GPU crash); return its reclaimed jobs."""
+        if self._process is not None and self._process.alive:
+            self._process.interrupt("gpu crashed")
+        return self._release()
+
+    def _release(self) -> List[FleetJob]:
+        """Mark the worker dead, close its context, and hand back every
+        job it held (in flight first, then queued)."""
         self.dead = True
         jobs: List[FleetJob] = []
         if self.current is not None:
@@ -283,8 +295,6 @@ class _TenantWorker:
             self.current = None
         jobs.extend(self.pending)
         self.pending.clear()
-        if self._process is not None and self._process.alive:
-            self._process.interrupt("gpu crashed")
         self.ctx.close()
         self._notify_warm()
         self.notify_idle()
@@ -309,13 +319,7 @@ class _TenantWorker:
                 self.current = job
                 yield from self.ctx.begin_request()
                 start = self.sim.now
-                ops = bound.launch(self.ctx.client_id)
-                for op in ops:
-                    if op.is_kernel:
-                        yield from self.ctx.launch_kernel(op)
-                    else:
-                        yield from self.ctx.memcpy(op.nbytes, op.kind,
-                                                   blocking=op.blocking)
+                yield from launch_ops(self.ctx, bound.launch(self.ctx.client_id))
                 yield from self.ctx.synchronize()
                 self.ctx.end_request()
                 if self.ctx.closed or self.ctx.poisoned:
@@ -330,17 +334,7 @@ class _TenantWorker:
             return  # crash path: shutdown() already reclaimed the jobs
 
     def _die(self) -> None:
-        self.dead = True
-        jobs: List[FleetJob] = []
-        if self.current is not None:
-            jobs.append(self.current)
-            self.current = None
-        jobs.extend(self.pending)
-        self.pending.clear()
-        self.ctx.close()
-        self._notify_warm()
-        self.notify_idle()
-        self.fleet.router.on_worker_death(self, jobs)
+        self.fleet.router.on_worker_death(self, self._release())
 
 
 class FleetGpu:
@@ -554,8 +548,22 @@ class FleetRouter:
         limit = self.fleet.tenant(tenant).policy.max_concurrency
         return limit is not None and self._dispatched.get(tenant, 0) >= limit
 
-    def _choose_gpu(self, tenant: str) -> Optional[FleetGpu]:
+    def score(self, gpu: FleetGpu, tenant: str,
+              others: Iterable[str]) -> float:
+        """``gpu``'s placement score for ``tenant`` (lower is better),
+        counting interference with the co-resident tenants ``others``."""
+        score = float(gpu.queue_depth())
+        score += self.health_weight * (1.0 - gpu.health.score())
         sig = self.fleet.signatures[tenant]
+        interference = 0.0
+        for other in others:
+            if other != tenant:
+                interference = max(
+                    interference,
+                    pair_interference(sig, self.fleet.signatures[other]))
+        return score + self.interference_weight * interference
+
+    def _choose_gpu(self, tenant: str) -> Optional[FleetGpu]:
         best: Optional[FleetGpu] = None
         best_score: Tuple[float, int] = (0.0, 0)
         for gpu in self.fleet.gpus:
@@ -565,16 +573,8 @@ class FleetRouter:
             if worker.dead or worker.draining \
                     or (tenant, gpu.index) in self._cordoned:
                 continue
-            score = float(gpu.queue_depth())
-            score += self.health_weight * (1.0 - gpu.health.score())
-            interference = 0.0
-            for other, w in gpu.workers.items():
-                if other != tenant and w.load > 0:
-                    interference = max(
-                        interference,
-                        pair_interference(sig, self.fleet.signatures[other]))
-            score += self.interference_weight * interference
-            key = (score, gpu.index)
+            busy = [other for other, w in gpu.workers.items() if w.load > 0]
+            key = (self.score(gpu, tenant, busy), gpu.index)
             if best is None or key < best_score:
                 best, best_score = gpu, key
         return best
@@ -754,19 +754,16 @@ class Fleet:
         for gpu in self.gpus:
             gpu.boot()
         for spec in self.tenants:
-            spawn(self.sim, self._arrival_loop(spec, horizon),
+            arrivals = PoissonArrivals(
+                spec.rps, self.testbed.rng.stream(f"poisson:{spec.name}"))
+            spawn(self.sim,
+                  arrival_loop(arrivals, horizon,
+                               lambda _t, name=spec.name: self._arrive(name)),
                   f"fleet-arrivals-{spec.name}")
 
-    def _arrival_loop(self, spec: TenantSpec, horizon: float):
-        arrivals = PoissonArrivals(
-            spec.rps, self.testbed.rng.stream(f"poisson:{spec.name}"))
-        last = 0.0
-        for t in arrivals.arrival_times(horizon):
-            if t > last:
-                yield Timeout(t - last)
-                last = t
-            self._job_seq += 1
-            self.router.submit(FleetJob(spec.name, self._job_seq, self.sim.now))
+    def _arrive(self, tenant: str) -> None:
+        self._job_seq += 1
+        self.router.submit(FleetJob(tenant, self._job_seq, self.sim.now))
 
     # -- worker lifecycle (migration / re-homing) ------------------------
     def add_worker(self, tenant: str, gpu_index: int) -> _TenantWorker:
@@ -800,24 +797,14 @@ class Fleet:
         scoring (queue depth, health, interference) and the GPU index
         break ties.
         """
-        sig = self.signatures[tenant]
         best: Optional[FleetGpu] = None
         best_key = None
         for gpu in self.gpus:
             if gpu.index in exclude or gpu.state != "up":
                 continue
-            live = [w for w in gpu.workers.values() if not w.dead]
+            live = [other for other, w in gpu.workers.items() if not w.dead]
             over = len(live) >= self.max_tenants_per_gpu
-            score = float(gpu.queue_depth())
-            score += self.router.health_weight * (1.0 - gpu.health.score())
-            interference = 0.0
-            for other, w in gpu.workers.items():
-                if other != tenant and not w.dead:
-                    interference = max(
-                        interference,
-                        pair_interference(sig, self.signatures[other]))
-            score += self.router.interference_weight * interference
-            key = (over, score, gpu.index)
+            key = (over, self.router.score(gpu, tenant, live), gpu.index)
             if best_key is None or key < best_key:
                 best, best_key = gpu, key
         return best.index if best is not None else None

@@ -23,12 +23,7 @@ from repro.profiler.profiles import ModelProfile
 from repro.sim.rng import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.apollo import apollo_trace
-from repro.workloads.arrivals import (
-    ClosedLoop,
-    PoissonArrivals,
-    TraceArrivals,
-    UniformArrivals,
-)
+from repro.workloads.arrivals import TraceArrivals, make_arrivals
 from repro.workloads.clients import ClientStats, InferenceClient, TrainingClient
 from repro.workloads.registry import build_plan
 
@@ -100,19 +95,15 @@ class ExperimentResult:
 
 def _make_arrivals(job: JobSpec, params: ExperimentParams,
                    rng_factory: RngFactory):
-    if job.arrivals == "closed":
-        return ClosedLoop()
-    if job.arrivals == "uniform":
-        return UniformArrivals(job.rps)
-    if job.arrivals == "poisson":
-        return PoissonArrivals(job.rps, rng_factory.stream(f"poisson:{job.name}"))
     if job.arrivals == "apollo":
         from repro.sim.rng import substream_seed
 
         trace = apollo_trace(params.duration,
                              seed=substream_seed(params.seed, f"apollo:{job.name}"))
         return TraceArrivals(trace)
-    raise ValueError(f"unknown arrival kind {job.arrivals!r}")
+    rng = rng_factory.stream(f"poisson:{job.name}") \
+        if job.arrivals == "poisson" else None
+    return make_arrivals(job.arrivals, rps=job.rps, rng=rng)
 
 
 def _run_experiment(params: ExperimentParams,

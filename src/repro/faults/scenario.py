@@ -2,11 +2,11 @@
 
 One high-priority inference client and N best-effort training clients
 share a GPU; a seeded :class:`~repro.faults.plan.FaultPlan` injects
-client kills (and optionally kernel/transfer faults) mid-run.  Clients
-run under restart supervisors, so the scenario exercises the full
-recovery loop: death → deregistration (queue drained, stream destroyed,
-memory freed, scheduler state repaired) → backoff → re-registration →
-serving again.  Used by ``python -m repro faults``, the
+client kills (and optionally kernel/transfer faults) mid-run.  Every
+client is given a ``ctx_factory``, so it runs under a restart
+supervisor and the scenario exercises the full recovery loop: death →
+deregistration (queue drained, stream destroyed, memory freed,
+scheduler state repaired) → backoff → re-registration → serving again.  Used by ``python -m repro faults``, the
 ``examples/fault_tolerance.py`` demo, and the recovery benchmarks.
 """
 
@@ -23,11 +23,7 @@ from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.clients import (
-    ClientStats,
-    RestartingInferenceClient,
-    RestartingTrainingClient,
-)
+from repro.workloads.clients import ClientStats, InferenceClient, TrainingClient
 from repro.workloads.registry import build_plan
 
 from .injector import FaultInjector
@@ -92,7 +88,7 @@ def _run_fault_scenario(params: FaultsParams,
 
     clients: List = []
     hp_plan = build_plan(model, "inference")
-    hp = RestartingInferenceClient(
+    hp = InferenceClient(
         sim, gpu.ctx("hp", True, "inference"), hp_plan, device_spec,
         PoissonArrivals(params.hp_rps, testbed.rng.stream("poisson:hp")),
         "hp", horizon=duration,
@@ -103,7 +99,7 @@ def _run_fault_scenario(params: FaultsParams,
     train_plan = build_plan(model, "training")
     for i in range(params.be_clients):
         name = f"be-{i}"
-        clients.append(RestartingTrainingClient(
+        clients.append(TrainingClient(
             sim, gpu.ctx(name, False, "training"), train_plan, device_spec,
             name, horizon=duration,
             ctx_factory=lambda n=name: gpu.ctx(n, False, "training"),

@@ -44,19 +44,23 @@ class LatencySummary:
         return cls(0, float("nan"), float("nan"), float("nan"),
                    float("nan"), float("nan"))
 
+    @classmethod
+    def of(cls, values: Sequence[float]) -> "LatencySummary":
+        """Summarize raw latency samples (none: the all-NaN summary)."""
+        if not values:
+            return cls.empty()
+        arr = np.asarray(values, dtype=float)
+        return cls(
+            count=int(arr.size),
+            mean=float(arr.mean()),
+            p50=float(np.percentile(arr, 50)),
+            p95=float(np.percentile(arr, 95)),
+            p99=float(np.percentile(arr, 99)),
+            max=float(arr.max()),
+        )
+
 
 def summarize_latencies(records: Iterable[RequestRecord],
                         after: float = 0.0) -> LatencySummary:
     """Summarize request latencies for records arriving at/after ``after``."""
-    lats = [r.latency for r in records if r.arrival >= after]
-    if not lats:
-        return LatencySummary.empty()
-    arr = np.asarray(lats, dtype=float)
-    return LatencySummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        p99=float(np.percentile(arr, 99)),
-        max=float(arr.max()),
-    )
+    return LatencySummary.of([r.latency for r in records if r.arrival >= after])

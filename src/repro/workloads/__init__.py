@@ -13,8 +13,6 @@ from .clients import (
     ClientStats,
     InferenceClient,
     RequestRecord,
-    RestartingInferenceClient,
-    RestartingTrainingClient,
     TrainingClient,
 )
 from .models import MODEL_NAMES, NLP_MODELS, VISION_MODELS, batch_size_for
@@ -41,8 +39,6 @@ __all__ = [
     "make_arrivals",
     "InferenceClient",
     "TrainingClient",
-    "RestartingInferenceClient",
-    "RestartingTrainingClient",
     "ClientStats",
     "RequestRecord",
     "batch_size_for",

@@ -1,4 +1,15 @@
-"""Client job processes: inference serving loops and training loops.
+"""Client job processes: the one lifecycle every simulated GPU tenant runs.
+
+:class:`_BaseClient` is that lifecycle.  A subclass writes ``_body()``
+— startup allocation, then its serve loop — and the base owns the rest:
+stats and ledger forwarding, the startup ``cudaMalloc`` whose
+allocation failures (a non-sticky ``OUT_OF_MEMORY`` status) are retried
+with bounded exponential backoff, and death.  A sticky error (faulting
+kernel, failed transfer, kill) poisons the context; a plain client
+stops there, while a client given a ``ctx_factory`` runs its body under
+a supervisor that rebuilds the context and resumes serving after
+exponential backoff — the fault-tolerance loop a production serving
+stack would run.
 
 An :class:`InferenceClient` receives requests from an arrival process
 into a pending queue and serves them one at a time (a model instance is
@@ -6,23 +17,18 @@ sequential); latency is completion minus *arrival*, so queueing delay —
 the head-of-line blocking that kills temporal sharing in the paper —
 is part of the measurement.  A :class:`TrainingClient` runs minibatch
 iterations in a closed loop, emitting forward/backward/update phase
-markers that the Tick-Tock baseline gates on.
+markers that the Tick-Tock baseline gates on.  The LLM engine in
+:mod:`repro.workloads.llmserve` is a third client on the same base.
 
-Both clients allocate their GPU state with ``cudaMalloc`` before
-serving, mirroring framework startup; allocation failures (a non-sticky
-``OUT_OF_MEMORY`` status) are retried with bounded exponential backoff
-rather than tearing the run down.  A sticky error (faulting kernel,
-failed transfer, kill) poisons the context: the plain clients stop, the
-``Restarting*`` variants run under a supervisor that rebuilds the
-context and resumes serving after exponential backoff — the
-fault-tolerance loop a production serving stack would run.
+:func:`arrival_loop` paces every open-loop arrival stream and
+:func:`launch_ops` is the one kernel/memcpy issue loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional
 
 from repro.frameworks.lowering import OpPlan, bind_plan
 from repro.gpu.errors import CudaError, CudaErrorCode
@@ -41,9 +47,9 @@ __all__ = [
     "RequestRecord",
     "InferenceClient",
     "TrainingClient",
-    "RestartingInferenceClient",
-    "RestartingTrainingClient",
     "ClientStats",
+    "arrival_loop",
+    "launch_ops",
 ]
 
 # Bounded retry/backoff for startup allocation OOM.
@@ -88,22 +94,84 @@ class ClientStats:
         return [r for r in self.records if r.arrival >= after]
 
 
+def arrival_loop(arrivals: ArrivalProcess, horizon: float,
+                 on_arrival: Callable[[float], None]):
+    """Process body: call ``on_arrival(t)`` at each arrival before ``horizon``.
+
+    The clock is paced to ``t`` in ``Timeout`` steps, so ``sim.now`` can
+    differ from ``t`` by float rounding: a caller that stamps ``t``
+    (:class:`InferenceClient`) and one that stamps ``sim.now`` (the LLM
+    engine, the fleet) record different values.
+    """
+    last = 0.0
+    for t in arrivals.arrival_times(horizon):
+        if t > last:
+            yield Timeout(t - last)
+            last = t
+        on_arrival(t)
+
+
+def launch_ops(ctx: ClientContext, ops: Iterable):
+    """Issue ``ops`` in order with CUDA blocking semantics.
+
+    The caller synchronizes.  One loop, no generator per op: this is
+    the hot path of every client.
+    """
+    for op in ops:
+        if isinstance(op, KernelOp):
+            yield from ctx.launch_kernel(op)
+        else:
+            # MemoryOp copies go through the dedicated entry points.
+            yield from ctx.memcpy(op.nbytes, op.kind, blocking=op.blocking)
+
+
 class _BaseClient:
-    def __init__(self, sim: Simulator, ctx: ClientContext, plan: OpPlan,
-                 device_spec: DeviceSpec, name: str,
-                 ledger: Optional[ErrorLedger] = None):
+    """One client process: startup, a serve body, death, restarts.
+
+    ``start()`` spawns the subclass's ``_body()`` directly or, when a
+    ``ctx_factory`` is given, under :meth:`_supervise`: on a crash
+    (sticky error or kill) the supervisor waits an exponentially
+    growing backoff, rebuilds the client context via ``ctx_factory`` (a
+    fresh registration — under Orion a dead high-priority client's
+    successor re-acquires the vacated priority stream), and runs the
+    body again.  Restarts are bounded by ``max_restarts``.
+    """
+
+    #: Process-name suffix of an unsupervised body.
+    _body_name = "serve"
+
+    backoff_base = 1e-3
+    backoff_factor = 2.0
+    backoff_cap = 5e-2
+
+    def __init__(self, sim: Simulator, ctx: ClientContext, name: str,
+                 kind: str, horizon: float,
+                 ledger: Optional[ErrorLedger] = None,
+                 ctx_factory: Optional[Callable[[], ClientContext]] = None,
+                 max_restarts: int = 8):
         self.sim = sim
         self.ctx = ctx
-        self.plan = plan
-        self.device_spec = device_spec
-        # The plan's kernel costs, bound once for this client's lifetime.
-        self._bound = bind_plan(plan, device_spec)
         self.name = name
-        self.stats = ClientStats(name=name, kind=plan.kind)
+        self.horizon = horizon
+        self.stats = ClientStats(name=name, kind=kind)
         self.ledger = ledger
+        self.max_restarts = max_restarts
+        self._ctx_factory = ctx_factory
         self._process: Optional[Process] = None
         self._serve: Optional[Process] = None
         self._errors_seen = 0
+        self._halted = False
+
+    def start(self) -> None:
+        if self._ctx_factory is None:
+            self._process = spawn(self.sim, self._body(),
+                                  f"{self.name}-{self._body_name}")
+        else:
+            self._process = spawn(self.sim, self._supervise(),
+                                  f"{self.name}-supervisor")
+
+    def _body(self):
+        raise NotImplementedError
 
     def kill(self, error: Optional[CudaError] = None) -> None:
         """Simulated process death: the serve loop is interrupted and the
@@ -117,6 +185,11 @@ class _BaseClient:
             self.ledger.record_down(self.name, self.sim.now)
         self.ctx.close(error)
         self._flush_errors()
+
+    def halt(self) -> None:
+        """Permanent kill: the supervisor will not restart."""
+        self._halted = True
+        self.kill()
 
     @property
     def alive(self) -> bool:
@@ -146,15 +219,18 @@ class _BaseClient:
         if self.ledger is not None:
             self.ledger.record_shed(self.name)
 
-    def _startup(self):
-        """Allocate resident model state (weights, workspace).
+    def _healthy(self) -> bool:
+        return not (self.ctx.closed or self.ctx.poisoned)
+
+    def _startup(self, nbytes: int):
+        """Allocate ``nbytes`` of resident state (weights, workspace).
 
         OOM is retried with bounded exponential backoff; returns True
         once the allocation succeeds, False when retries are exhausted
         or a different error lands.
         """
         for attempt in range(_OOM_RETRIES + 1):
-            done = yield from self.ctx.malloc(self.plan.state_bytes)
+            done = yield from self.ctx.malloc(nbytes)
             self._flush_errors()
             if done.error is None:
                 return True
@@ -164,18 +240,40 @@ class _BaseClient:
             yield Timeout(min(_OOM_BACKOFF_CAP, _OOM_BACKOFF * 2 ** attempt))
         return False
 
-    def _run_ops(self, ops):
-        """Launch one request's ops with CUDA blocking semantics."""
-        for op in ops:
-            if isinstance(op, KernelOp):
-                yield from self.ctx.launch_kernel(op)
+    def _supervise(self):
+        attempt = 0
+        while True:
+            self._serve = spawn(self.sim, self._body(),
+                                f"{self.name}-serve-{attempt}")
+            yield self._serve
+            self._flush_errors()
+            if self._halted or self.sim.now >= self.horizon \
+                    or self._healthy():
+                return  # halted, out of time, or a clean completion
+            # The body died (kill or sticky error): the client is down.
+            # record_down keeps the earlier time a kill recorded.
+            if self.ledger is not None:
+                self.ledger.record_down(self.name, self.sim.now)
+            if attempt >= self.max_restarts:
+                return
+            delay = min(self.backoff_cap,
+                        self.backoff_base * self.backoff_factor ** attempt)
+            attempt += 1
+            try:
+                yield Timeout(delay)
+            except Interrupted:
+                return
+            if self._halted or self.sim.now >= self.horizon:
+                return
+            if self.ctx.closed:
+                self.ctx = self._ctx_factory()
+                self._errors_seen = 0
             else:
-                # MemoryOp copies go through the dedicated entry points.
-                yield from self.ctx.memcpy(op.nbytes, op.kind, blocking=op.blocking)
-        yield from self.ctx.synchronize()
-
-    def _healthy(self) -> bool:
-        return not (self.ctx.closed or self.ctx.poisoned)
+                # Poisoned but never deregistered: cudaDeviceReset analog.
+                self.ctx.reset()
+            self.stats.restarts += 1
+            if self.ledger is not None:
+                self.ledger.record_recovered(self.name, self.sim.now)
 
 
 class InferenceClient(_BaseClient):
@@ -194,33 +292,36 @@ class InferenceClient(_BaseClient):
                  device_spec: DeviceSpec, arrivals: ArrivalProcess,
                  name: str, horizon: float,
                  ledger: Optional[ErrorLedger] = None,
-                 deadline: Optional[float] = None):
-        super().__init__(sim, ctx, plan, device_spec, name, ledger=ledger)
+                 deadline: Optional[float] = None,
+                 ctx_factory: Optional[Callable[[], ClientContext]] = None,
+                 max_restarts: int = 8):
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive")
+        super().__init__(sim, ctx, name, plan.kind, horizon, ledger=ledger,
+                         ctx_factory=ctx_factory, max_restarts=max_restarts)
+        self.plan = plan
+        self.device_spec = device_spec
+        # The plan's kernel costs, bound once for this client's lifetime.
+        self._bound = bind_plan(plan, device_spec)
         self.arrivals = arrivals
-        self.horizon = horizon
         self.deadline = deadline
         self._pending: Deque[float] = deque()
         self._work = Signal(sim)
 
     def start(self) -> None:
         if not isinstance(self.arrivals, ClosedLoop):
-            spawn(self.sim, self._arrival_loop(), f"{self.name}-arrivals")
-        self._process = spawn(self.sim, self._serve_loop(), f"{self.name}-serve")
+            spawn(self.sim, arrival_loop(self.arrivals, self.horizon,
+                                         self._arrive),
+                  f"{self.name}-arrivals")
+        super().start()
 
-    def _arrival_loop(self):
-        last = 0.0
-        for t in self.arrivals.arrival_times(self.horizon):
-            if t > last:
-                yield Timeout(t - last)
-                last = t
-            self._pending.append(t)
-            if not self._work.triggered:
-                self._work.trigger()
+    def _arrive(self, t: float) -> None:
+        self._pending.append(t)
+        if not self._work.triggered:
+            self._work.trigger()
 
-    def _serve_loop(self):
-        ok = yield from self._startup()
+    def _body(self):
+        ok = yield from self._startup(self.plan.state_bytes)
         if not ok:
             self._record_failed()
             return
@@ -244,13 +345,14 @@ class InferenceClient(_BaseClient):
                 else arrival + self.deadline
             yield from self.ctx.begin_request(deadline=deadline)
             start = self.sim.now
-            ops = self._bound.launch(self.ctx.client_id)
-            yield from self._run_ops(ops)
+            yield from launch_ops(self.ctx,
+                                  self._bound.launch(self.ctx.client_id))
+            yield from self.ctx.synchronize()
             self.ctx.end_request()
             self._flush_errors()
             if not self._healthy():
-                # Sticky error mid-request: the request failed; the
-                # plain client stops here (Restarting* recovers).
+                # Sticky error mid-request: the request failed and the
+                # body ends (a supervisor, if any, restarts it).
                 self._record_failed()
                 return
             self.stats.records.append(RequestRecord(arrival, start, self.sim.now))
@@ -267,45 +369,41 @@ class InferenceClient(_BaseClient):
 class TrainingClient(_BaseClient):
     """Runs training iterations in a closed loop with phase markers."""
 
+    _body_name = "train"
+
     def __init__(self, sim: Simulator, ctx: ClientContext, plan: OpPlan,
                  device_spec: DeviceSpec, name: str, horizon: float,
-                 ledger: Optional[ErrorLedger] = None):
+                 ledger: Optional[ErrorLedger] = None,
+                 ctx_factory: Optional[Callable[[], ClientContext]] = None,
+                 max_restarts: int = 8):
         if plan.kind != "training":
             raise ValueError(f"TrainingClient needs a training plan, got {plan.kind}")
-        super().__init__(sim, ctx, plan, device_spec, name, ledger=ledger)
-        self.horizon = horizon
+        super().__init__(sim, ctx, name, plan.kind, horizon, ledger=ledger,
+                         ctx_factory=ctx_factory, max_restarts=max_restarts)
+        self.plan = plan
+        self.device_spec = device_spec
+        self._bound = bind_plan(plan, device_spec)
 
-    def start(self) -> None:
-        self._process = spawn(self.sim, self._train_loop(), f"{self.name}-train")
-
-    def _iteration_ops(self):
-        # Training inputs are prefetched: the minibatch H2D copy is
-        # asynchronous and overlaps compute (standard input pipelining;
-        # the paper's §6.1 setup eliminates input stalls).
-        ops = self._bound.launch(self.ctx.client_id, async_copies=True)
-        phases = {"copy": [], "forward": [], "backward": [], "update": []}
-        for op in ops:
-            phases[op.tag if op.tag in phases else "forward"].append(op)
-        return phases
-
-    def _train_loop(self):
-        ok = yield from self._startup()
+    def _body(self):
+        ok = yield from self._startup(self.plan.state_bytes)
         if not ok:
             self._record_failed()
             return
         while self.sim.now < self.horizon:
             yield from self.ctx.begin_request()
             start = self.sim.now
-            phases = self._iteration_ops()
+            # Training inputs are prefetched: the minibatch H2D copy is
+            # asynchronous and overlaps compute (standard input
+            # pipelining; the paper's §6.1 setup eliminates input stalls).
+            phases = {"copy": [], "forward": [], "backward": [], "update": []}
+            for op in self._bound.launch(self.ctx.client_id, async_copies=True):
+                phases[op.tag if op.tag in phases else "forward"].append(op)
             yield from self.ctx.phase("forward")
-            for op in phases["copy"] + phases["forward"]:
-                yield from self._launch(op)
+            yield from launch_ops(self.ctx, phases["copy"] + phases["forward"])
             yield from self.ctx.phase("backward")
-            for op in phases["backward"]:
-                yield from self._launch(op)
+            yield from launch_ops(self.ctx, phases["backward"])
             yield from self.ctx.phase("update")
-            for op in phases["update"]:
-                yield from self._launch(op)
+            yield from launch_ops(self.ctx, phases["update"])
             yield from self.ctx.synchronize()
             self.ctx.end_request()
             self._flush_errors()
@@ -316,126 +414,3 @@ class TrainingClient(_BaseClient):
             if self.ctx.tracer.enabled:
                 self.ctx.tracer.request(self.ctx.client_id, start, start)
             self._record_served()
-
-    def _launch(self, op):
-        if isinstance(op, KernelOp):
-            yield from self.ctx.launch_kernel(op)
-        else:
-            yield from self.ctx.memcpy(op.nbytes, op.kind, blocking=op.blocking)
-
-
-class _RestartSupervisor:
-    """Mixin: run the serve loop under a supervisor that restarts it.
-
-    On a crash (sticky error or kill) the supervisor waits an
-    exponentially growing backoff, rebuilds the client context via
-    ``ctx_factory`` (a fresh registration — under Orion a dead
-    high-priority client's successor re-acquires the vacated priority
-    stream), and resumes serving.  Restarts are bounded.
-    """
-
-    max_restarts: int = 8
-    backoff_base: float = 1e-3
-    backoff_factor: float = 2.0
-    backoff_cap: float = 5e-2
-
-    def _configure_restarts(self, ctx_factory: Optional[Callable[[], ClientContext]],
-                            max_restarts: int) -> None:
-        self._ctx_factory = ctx_factory
-        self.max_restarts = max_restarts
-        self._halted = False
-
-    def start(self) -> None:
-        self._start_aux()
-        self._process = spawn(self.sim, self._supervise(),
-                              f"{self.name}-supervisor")
-
-    def _start_aux(self) -> None:
-        """Hook for auxiliary processes (arrival loops)."""
-
-    def kill(self, error: Optional[CudaError] = None) -> None:
-        _BaseClient.kill(self, error)
-
-    def halt(self) -> None:
-        """Permanent kill: the supervisor will not restart."""
-        self._halted = True
-        self.kill()
-
-    def _supervise(self):
-        attempt = 0
-        while True:
-            self._serve = spawn(self.sim, self._serve_body(),
-                                f"{self.name}-serve-{attempt}")
-            yield self._serve
-            self._flush_errors()
-            if self._halted or self.sim.now >= self.horizon:
-                return
-            if self._healthy():
-                return  # clean completion
-            if attempt >= self.max_restarts:
-                return
-            delay = min(self.backoff_cap,
-                        self.backoff_base * self.backoff_factor ** attempt)
-            attempt += 1
-            try:
-                yield Timeout(delay)
-            except Interrupted:
-                return
-            if self._halted or self.sim.now >= self.horizon:
-                return
-            self._rebuild_context()
-            self.stats.restarts += 1
-            if self.ledger is not None:
-                self.ledger.record_recovered(self.name, self.sim.now)
-
-    def _rebuild_context(self) -> None:
-        if self.ctx.closed:
-            if self._ctx_factory is None:
-                raise RuntimeError(
-                    f"client {self.name}: context closed and no ctx_factory "
-                    "to rebuild it"
-                )
-            self.ctx = self._ctx_factory()
-            self._errors_seen = 0
-        else:
-            # Poisoned but never deregistered: cudaDeviceReset analog.
-            self.ctx.reset()
-
-
-class RestartingInferenceClient(_RestartSupervisor, InferenceClient):
-    """Inference client that restarts after crashes with backoff."""
-
-    def __init__(self, sim: Simulator, ctx: ClientContext, plan: OpPlan,
-                 device_spec: DeviceSpec, arrivals: ArrivalProcess,
-                 name: str, horizon: float,
-                 ctx_factory: Optional[Callable[[], ClientContext]] = None,
-                 max_restarts: int = 8,
-                 ledger: Optional[ErrorLedger] = None,
-                 deadline: Optional[float] = None):
-        InferenceClient.__init__(self, sim, ctx, plan, device_spec, arrivals,
-                                 name, horizon, ledger=ledger,
-                                 deadline=deadline)
-        self._configure_restarts(ctx_factory, max_restarts)
-
-    def _start_aux(self) -> None:
-        if not isinstance(self.arrivals, ClosedLoop):
-            spawn(self.sim, self._arrival_loop(), f"{self.name}-arrivals")
-
-    def _serve_body(self):
-        yield from self._serve_loop()
-
-
-class RestartingTrainingClient(_RestartSupervisor, TrainingClient):
-    """Training client that restarts after crashes with backoff."""
-
-    def __init__(self, sim: Simulator, ctx: ClientContext, plan: OpPlan,
-                 device_spec: DeviceSpec, name: str, horizon: float,
-                 ctx_factory: Optional[Callable[[], ClientContext]] = None,
-                 max_restarts: int = 8,
-                 ledger: Optional[ErrorLedger] = None):
-        TrainingClient.__init__(self, sim, ctx, plan, device_spec, name,
-                                horizon, ledger=ledger)
-        self._configure_restarts(ctx_factory, max_restarts)
-
-    def _serve_body(self):
-        yield from self._train_loop()

@@ -50,10 +50,11 @@ from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary
 from repro.runtime.client import ClientContext
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal, Timeout, spawn
+from repro.sim.process import Signal, spawn
 from repro.telemetry.metrics import MetricsRegistry
 
 from .arrivals import PoissonArrivals
+from .clients import TrainingClient, _BaseClient, arrival_loop
 from .models.llm import LlmConfig, _decode_step_specs, _prefill_specs
 
 if TYPE_CHECKING:
@@ -75,12 +76,6 @@ CACHE_POLICIES = ("evict", "block")
 LLM_STATS = ("be_kernels_launched", "be_kernels_deferred",
              "prefill_deferrals", "hp_requests_completed",
              "dur_threshold_frac", "protect_prefill")
-
-# Startup-allocation OOM retry/backoff (same constants as the DNN
-# clients in repro.workloads.clients).
-_OOM_RETRIES = 5
-_OOM_BACKOFF = 5e-4
-_OOM_BACKOFF_CAP = 5e-2
 
 # A sequence evicted this many times is failed instead of requeued:
 # its cache will never fit, and requeueing forever would livelock.
@@ -205,10 +200,11 @@ def _bucket(tokens: int) -> int:
     return 2 ** int(math.ceil(math.log2(max(tokens, 1))))
 
 
-class ContinuousBatchingEngine:
+class ContinuousBatchingEngine(_BaseClient):
     """The serving loop: admit, prefill, decode, retire — forever.
 
-    One engine is the scenario's single high-priority client.  Each
+    One engine is the scenario's single high-priority client, named
+    ``"llm"``, on the same client lifecycle as the DNN clients.  Each
     prefill/decode step runs inside a ``begin_request``/``end_request``
     window (so temporal sharing's slice lock works unchanged) and is
     announced with a phase marker (so Orion's phase hints work).
@@ -235,14 +231,12 @@ class ContinuousBatchingEngine:
                              f"got {cache_policy!r}")
         if min(prompt_mean, output_mean) < 1:
             raise ValueError("prompt_mean and output_mean must be >= 1")
-        self.sim = sim
-        self.ctx = ctx
+        super().__init__(sim, ctx, "llm", "inference", horizon, ledger=ledger)
         self.config = config
         self.device_spec = device_spec
         self.arrivals = arrivals
         self.prompt_rng = prompt_rng
         self.output_rng = output_rng
-        self.horizon = horizon
         self.max_batch = max_batch
         self.prompt_mean = prompt_mean
         self.prompt_cap = prompt_cap
@@ -250,7 +244,6 @@ class ContinuousBatchingEngine:
         self.output_cap = output_cap
         self.cache_policy = cache_policy
         self.warmup = warmup
-        self.ledger = ledger
         self.block_bytes = config.kv_cache_bytes(1, kv_block_tokens)
         self.kv_block_tokens = kv_block_tokens
         self.weights_bytes = FP32_BYTES * config.params
@@ -265,21 +258,19 @@ class ContinuousBatchingEngine:
         self.decode_tokens = 0
         self.prefill_tokens = 0
         self.requests_completed = 0
-        self.requests_failed = 0
         # Bound kernel costs per shape bucket, like a real deployment's
         # one-time per-shape profiles; they live as long as the engine.
         self._decode_costs: Dict[tuple, List[KernelCost]] = {}
         self._prefill_costs: Dict[int, List[KernelCost]] = {}
         self._work = Signal(sim)
-        self._process = None
-        self._errors_seen = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        spawn(self.sim, self._arrival_loop(), "llm-arrivals")
-        self._process = spawn(self.sim, self._serve_loop(), "llm-serve")
+        spawn(self.sim, arrival_loop(self.arrivals, self.horizon, self._arrive),
+              f"{self.name}-arrivals")
+        super().start()
 
     @property
     def batch_size(self) -> int:
@@ -288,16 +279,6 @@ class ContinuousBatchingEngine:
     def _wake(self) -> None:
         if not self._work.triggered:
             self._work.trigger()
-
-    def _flush_errors(self) -> None:
-        new = self.ctx.errors[self._errors_seen:]
-        self._errors_seen = len(self.ctx.errors)
-        if self.ledger is not None:
-            for error in new:
-                self.ledger.record_error("llm", error.code.value, self.sim.now)
-
-    def _healthy(self) -> bool:
-        return not (self.ctx.closed or self.ctx.poisoned)
 
     # ------------------------------------------------------------------
     # Arrivals
@@ -308,23 +289,18 @@ class ContinuousBatchingEngine:
         # hard-capped so one request can't exceed the cache by itself.
         return min(cap, 1 + int(rng.exponential(max(mean - 1.0, 1e-9))))
 
-    def _arrival_loop(self):
-        last = 0.0
-        for t in self.arrivals.arrival_times(self.horizon):
-            if t > last:
-                yield Timeout(t - last)
-                last = t
-            record = LlmRequestRecord(
-                req_id=len(self.records),
-                arrival=self.sim.now,
-                prompt_tokens=self._draw_length(
-                    self.prompt_rng, self.prompt_mean, self.prompt_cap),
-                output_tokens=self._draw_length(
-                    self.output_rng, self.output_mean, self.output_cap),
-            )
-            self.records.append(record)
-            self._waiting.append(record)
-            self._wake()
+    def _arrive(self, _t: float) -> None:
+        record = LlmRequestRecord(
+            req_id=len(self.records),
+            arrival=self.sim.now,
+            prompt_tokens=self._draw_length(
+                self.prompt_rng, self.prompt_mean, self.prompt_cap),
+            output_tokens=self._draw_length(
+                self.output_rng, self.output_mean, self.output_cap),
+        )
+        self.records.append(record)
+        self._waiting.append(record)
+        self._wake()
 
     # ------------------------------------------------------------------
     # KV block allocation through the CUDA runtime
@@ -357,9 +333,7 @@ class ContinuousBatchingEngine:
 
     def _fail_request(self, record: LlmRequestRecord) -> None:
         record.failed = True
-        self.requests_failed += 1
-        if self.ledger is not None:
-            self.ledger.record_failed("llm")
+        self._record_failed()
 
     def _alloc_admission(self, record: LlmRequestRecord):
         """Reserve a new request's cache; False (with rollback) on OOM."""
@@ -410,21 +384,8 @@ class ContinuousBatchingEngine:
     # ------------------------------------------------------------------
     # The serving loop
     # ------------------------------------------------------------------
-    def _startup(self):
-        """Allocate the weights with bounded OOM retry (framework boot)."""
-        for attempt in range(_OOM_RETRIES + 1):
-            done = yield from self.ctx.malloc(self.weights_bytes)
-            self._flush_errors()
-            if done.error is None:
-                return True
-            if (done.error.code is not CudaErrorCode.OUT_OF_MEMORY
-                    or attempt >= _OOM_RETRIES):
-                return False
-            yield Timeout(min(_OOM_BACKOFF_CAP, _OOM_BACKOFF * 2 ** attempt))
-        return False
-
-    def _serve_loop(self):
-        ok = yield from self._startup()
+    def _body(self):
+        ok = yield from self._startup(self.weights_bytes)
         if not ok:
             return
         while self._healthy():
@@ -547,8 +508,7 @@ class ContinuousBatchingEngine:
             yield from self._free_blocks(blocks)
             seq.record.end = self.sim.now
             self.requests_completed += 1
-            if self.ledger is not None:
-                self.ledger.record_served("llm")
+            self._record_served()
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +547,6 @@ class LlmServeResult:
                    for stats in self.jobs.values())
 
 
-def _summarize(values: List[float]) -> LatencySummary:
-    if not values:
-        return LatencySummary.empty()
-    arr = np.asarray(values, dtype=float)
-    return LatencySummary(
-        count=int(arr.size), mean=float(arr.mean()),
-        p50=float(np.percentile(arr, 50)), p95=float(np.percentile(arr, 95)),
-        p99=float(np.percentile(arr, 99)), max=float(arr.max()),
-    )
-
-
 def _run_llm_scenario(params: LlmParams, testbed: Testbed) -> LlmServeResult:
     """Run the continuous-batching LLM serving scenario.
 
@@ -614,7 +563,6 @@ def _run_llm_scenario(params: LlmParams, testbed: Testbed) -> LlmServeResult:
     from repro.core import OrionConfig
     from repro.experiments.runner import get_profile
     from repro.experiments.testbed import report_stats
-    from repro.workloads.clients import TrainingClient
     from repro.workloads.registry import build_plan, get_workload
 
     duration, model = params.duration, params.model
@@ -708,15 +656,15 @@ def _run_llm_scenario(params: LlmParams, testbed: Testbed) -> LlmServeResult:
     return LlmServeResult(
         model=model,
         backend=params.backend,
-        ttft=_summarize(ttfts),
-        tpot=_summarize(tpots),
+        ttft=LatencySummary.of(ttfts),
+        tpot=LatencySummary.of(tpots),
         decode_tokens_per_sec=engine.decode_tokens / span,
         total_tokens=total_tokens,
         ttft_slo=ttft_slo,
         prefill_reference=prefill_ref,
         requests_arrived=len(engine.records),
         requests_completed=engine.requests_completed,
-        requests_failed=engine.requests_failed,
+        requests_failed=engine.stats.failed,
         records=list(engine.records),
         admission_log=list(engine.admission_log),
         kv=engine.kv.snapshot(),

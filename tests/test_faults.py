@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.scenario import Scenario, run
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -235,3 +236,23 @@ def test_ledger_table_lists_clients_sorted():
     table = ledger.format_table()
     assert table.index("alpha") < table.index("zeta")
     assert "client_killedx1" in table
+
+
+# ---------------------------------------------------------------------------
+# Recovery accounting in the faults scenario
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("event", [
+    KernelFault("mobilenet_v2-inf-b4/relu_1", at_time=0.01, client="hp"),
+    KillClient("hp", at_time=0.01),
+], ids=["kernel-fault", "kill"])
+def test_restart_after_crash_records_downtime(event):
+    res = run(Scenario("faults", params={"duration": 0.05,
+                                         "plan": FaultPlan((event,))}))
+    hp = res.result.ledger.client("hp").to_dict()
+    assert hp["restarts"] == 1
+    # The restart is charged the down interval whatever ended the body:
+    # a sticky kernel fault counts like a kill.
+    assert hp["recovery_times"] and hp["downtime"] > 0
+    assert hp["uptime_fraction"] < 1
+    assert hp["time_to_recover"] is not None
