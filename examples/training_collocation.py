@@ -5,13 +5,13 @@ Mirrors the paper's train-train use case (§6.2.2): a high-priority
 ResNet-50 training job shares a GPU with a best-effort MobileNetV2
 trainer.  For throughput-oriented high-priority jobs, Orion raises
 SM_THRESHOLD via binary search while monitoring the high-priority
-throughput (§5.1.1).  This example runs the tuner live and prints the
+throughput (§5.1.1).  This example runs the search live and prints the
 search trajectory, then compares against Tick-Tock and REEF.
 
 Run:  python examples/training_collocation.py
 """
 
-from repro.core import OrionConfig, SmThresholdTuner, TunerConfig
+from repro.core import Controller, OrionConfig, SmThresholdSearch
 from repro.experiments import (
     Scenario,
     run_scenario,
@@ -27,13 +27,14 @@ from repro.workloads.registry import build_plan
 HP_MODEL, BE_MODEL = "resnet50", "mobilenet_v2"
 
 
-def run_with_tuner(duration: float = 6.0):
-    """Hand-built experiment so we can attach the live tuner."""
+def run_with_search(duration: float = 6.0):
+    """Hand-built experiment so we can attach the live search."""
     testbed = Testbed.build("V100-16GB", seed=0)
     sim, device_spec = testbed.sim, testbed.device_spec
     hp_profile = get_profile(HP_MODEL, "training", device_spec)
     testbed.store.add(hp_profile)
-    testbed.store.add(get_profile(BE_MODEL, "training", device_spec))
+    be_profile = get_profile(BE_MODEL, "training", device_spec)
+    testbed.store.add(be_profile)
 
     gpu = testbed.gpu("orion", OrionConfig(
         hp_request_latency=hp_profile.request_latency))
@@ -46,28 +47,29 @@ def run_with_tuner(duration: float = 6.0):
         clients.append(client)
 
     dedicated_hp = solo_throughput(HP_MODEL, "training")
-    tuner = SmThresholdTuner(sim, gpu.backend, dedicated_hp,
-                             config=TunerConfig(tolerance=0.2, window=0.75))
+    control = Controller(sim, gpu.backend, 0.75, [SmThresholdSearch(
+        dedicated_hp, [be_profile], tolerance=0.2)])
     gpu.backend.start()
     for client in clients:
         client.start()
-    tuner.start()
+    control.start()
     sim.run(until=duration)
-    return clients, tuner, dedicated_hp
+    return clients, control.actions, dedicated_hp
 
 
 def main() -> None:
     print("running Orion with live SM_THRESHOLD binary search ...")
-    (hp_client, be_client), tuner, dedicated_hp = run_with_tuner()
+    (hp_client, be_client), actions, dedicated_hp = run_with_search()
+    *probes, settle = actions
 
     print()
     print("tuner trajectory (binary search over SM_THRESHOLD):")
     print(format_table(
         ["SM_THRESHOLD", "HP it/s in window", "accepted"],
-        [[step.threshold, f"{step.hp_throughput:.2f}", step.accepted]
-         for step in tuner.history],
+        [[probe["sm_threshold"], f"{probe['observed']:.2f}",
+          probe["action"] == "accept"] for probe in probes],
     ))
-    print(f"final SM_THRESHOLD: {tuner.final_threshold}")
+    print(f"final SM_THRESHOLD: {settle['sm_threshold']}")
 
     hp_iters = len(hp_client.stats.records)
     be_iters = len(be_client.stats.records)

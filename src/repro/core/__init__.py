@@ -1,6 +1,6 @@
 """Orion: the interference-aware, fine-grained GPU scheduler (paper §5)."""
 
-from .autotune import SmThresholdTuner, TunerConfig
+from .control import Controller, DurThresholdGuard, SmThresholdSearch
 from .policy import (
     DEFAULT_DUR_THRESHOLD_FRAC,
     PolicyConfig,
@@ -12,18 +12,16 @@ from .scheduler import (
     OrionBackend,
     OrionConfig,
 )
-from .sloguard import SloGuard, SloGuardConfig
 
 __all__ = [
     "OrionBackend",
     "OrionConfig",
     "OVERLOAD_POLICIES",
-    "SloGuard",
-    "SloGuardConfig",
+    "Controller",
+    "DurThresholdGuard",
     "ORION_INTERCEPTION_OVERHEAD",
     "PolicyConfig",
     "have_different_profiles",
     "DEFAULT_DUR_THRESHOLD_FRAC",
-    "SmThresholdTuner",
-    "TunerConfig",
+    "SmThresholdSearch",
 ]

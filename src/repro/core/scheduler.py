@@ -76,7 +76,8 @@ class OrionConfig(PolicyConfig):
     best-effort client alike.
     ``fallback_hp_latency`` is the HP request latency assumed before
     any profile or measurement lands.  ``hp_window`` sizes the rolling
-    window of observed HP request latencies the SLO guard watches.
+    window of observed HP request latencies the SLO guard
+    (:class:`~repro.core.control.DurThresholdGuard`) watches.
 
     ``protect_prefill`` (phase-aware scheduling, §7 extension): while
     the high-priority client has declared a ``"prefill"`` phase via
@@ -173,7 +174,7 @@ class OrionBackend(Backend):
         self._hp_request_started_at: Optional[float] = None
         self._hp_request_deadline: Optional[float] = None
         # Rolling window of observed HP request latencies, watched by
-        # the adaptive SLO guard (repro.core.sloguard).
+        # the adaptive SLO guard (repro.core.control).
         self.hp_latency_window: Deque[float] = deque(
             maxlen=self.config.hp_window)
         # Overload state: while suspended, no best-effort kernel is
@@ -392,7 +393,7 @@ class OrionBackend(Backend):
                 self._wake_scheduler()
 
     # ------------------------------------------------------------------
-    # Overload controls (driven by repro.core.sloguard)
+    # Overload controls (driven by repro.core.control)
     # ------------------------------------------------------------------
     def suspend_be_admission(self) -> None:
         """Stop admitting best-effort kernels entirely (emergency brake

@@ -10,9 +10,11 @@ DESIGN.md §6.2:
 * bounded best-effort software queues ("block" backpressure or
   "reject" load shedding with the retryable ``QUEUE_FULL`` status);
 * per-request deadlines with shed-at-admission on every client;
-* optionally the adaptive :class:`~repro.core.sloguard.SloGuard`,
-  which tightens DUR_THRESHOLD / suspends best-effort admission when
-  the windowed HP latency quantile breaches the SLO.
+* optionally the adaptive SLO guard
+  (:class:`~repro.core.control.DurThresholdGuard` on a
+  :class:`~repro.core.control.Controller`), which tightens
+  DUR_THRESHOLD / suspends best-effort admission when the windowed HP
+  latency quantile breaches the SLO.
 
 The Orion config deliberately starts with a *loose* DUR_THRESHOLD
 (``initial_dur_frac``), so the unguarded run demonstrates the breach
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core import OrionConfig, SloGuard, SloGuardConfig
+from repro.core import Controller, DurThresholdGuard, OrionConfig
 from repro.experiments.runner import get_profile
 from repro.metrics.availability import ErrorLedger
 from repro.metrics.latency import LatencySummary, summarize_latencies
@@ -135,11 +137,11 @@ def _run_overload_scenario(params: OverloadParams,
             name, horizon=duration, ledger=ledger, deadline=be_deadline,
         ))
 
-    slo_guard: Optional[SloGuard] = None
+    control = guard = None
     if params.guard:
-        slo_guard = SloGuard(sim, backend, SloGuardConfig(
-            slo=slo, check_interval=max(4.0 * solo_latency, 1e-4),
-        )).start()
+        guard = DurThresholdGuard(slo=slo)
+        control = Controller(sim, backend, max(4.0 * solo_latency, 1e-4),
+                             [guard]).start()
 
     backend.start()
     for client in clients:
@@ -160,8 +162,8 @@ def _run_overload_scenario(params: OverloadParams,
         ledger=ledger,
         backend_stats=report_stats(backend, OVERLOAD_STATS),
         queue_telemetry=backend.queue_telemetry(),
-        guard_actions=list(slo_guard.actions) if slo_guard else [],
-        guard_summary=slo_guard.summary() if slo_guard else None,
+        guard_actions=list(control.actions) if control else [],
+        guard_summary=guard.summary(control) if control else None,
         metrics=backend.metrics,
         utilization_segments=list(gpu.device.utilization_segments),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.scheduler import OrionBackend, OrionConfig
-from repro.core.sloguard import SloGuard, SloGuardConfig
+from repro.core.control import Controller, DurThresholdGuard
 from repro.gpu.device import GpuDevice
 from repro.gpu.errors import CudaError, CudaErrorCode
 from repro.gpu.specs import V100_16GB
@@ -272,11 +272,13 @@ def test_hp_latency_window_bounded_and_cleared_on_deregister():
 # ----------------------------------------------------------------------
 # Adaptive SLO guard
 # ----------------------------------------------------------------------
-def guard_config(**overrides):
-    base = dict(slo=5e-3, check_interval=1e-3, min_samples=2,
-                recover_checks=2, reset_window_on_action=False)
+def start_guard(sim, backend, **overrides):
+    """A guard checking every 1 ms on a started controller."""
+    base = dict(slo=5e-3, min_samples=2, recover_checks=2,
+                reset_window_on_action=False)
     base.update(overrides)
-    return SloGuardConfig(**base)
+    guard = DurThresholdGuard(**base)
+    return guard, Controller(sim, backend, 1e-3, [guard]).start()
 
 
 def feed(backend, latency, n=4):
@@ -286,27 +288,27 @@ def feed(backend, latency, n=4):
 
 def test_guard_config_validation():
     with pytest.raises(ValueError):
-        SloGuardConfig(slo=0)
+        DurThresholdGuard(slo=0)
     with pytest.raises(ValueError):
-        SloGuardConfig(slo=1e-3, tighten_factor=1.0)
+        DurThresholdGuard(slo=1e-3, tighten_factor=1.0)
     with pytest.raises(ValueError):
-        SloGuardConfig(slo=1e-3, relax_factor=1.0)
+        DurThresholdGuard(slo=1e-3, relax_factor=1.0)
     with pytest.raises(ValueError):
-        SloGuardConfig(slo=1e-3, recover_margin=0.0)
+        DurThresholdGuard(slo=1e-3, recover_margin=0.0)
 
 
 def test_guard_tightens_then_suspends_on_sustained_breach():
     sim = Simulator()
     config = OrionConfig(hp_request_latency=10e-3, dur_threshold_frac=0.1)
     backend, _device, _hp, _be = setup_backend(sim, config)
-    guard = SloGuard(sim, backend, guard_config(min_dur_frac=0.03)).start()
+    guard, control = start_guard(sim, backend, min_dur_frac=0.03)
     feed(backend, 20e-3)
     sim.run(until=5.5e-3)
     # 0.1 -> 0.05 -> 0.03 (floor) -> suspend; further checks no-op.
     assert backend.config.dur_threshold_frac == pytest.approx(0.03)
     assert backend.be_admission_suspended
     assert backend.be_suspensions == 1
-    actions = [a["action"] for a in guard.actions]
+    actions = [a["action"] for a in control.actions]
     assert actions == ["tighten", "tighten", "suspend"]
     assert guard.breaches >= 3
 
@@ -317,13 +319,13 @@ def test_guard_recovery_hysteresis_and_relax_cap():
     backend, _device, _hp, _be = setup_backend(sim, config)
     backend.config.dur_threshold_frac = 0.025  # as if tightened earlier
     backend.suspend_be_admission()
-    guard = SloGuard(sim, backend, guard_config()).start()
+    guard, control = start_guard(sim, backend)
     guard.baseline_dur_frac = 0.1
     feed(backend, 1e-3)  # comfortably under recover_margin * slo
     sim.run(until=20.5e-3)
     # Sequence: resume first, then relax steps of x2 capped at baseline,
     # each costing a full recover_checks streak (hysteresis).
-    actions = [a["action"] for a in guard.actions]
+    actions = [a["action"] for a in control.actions]
     assert actions == ["resume", "relax", "relax"]
     assert not backend.be_admission_suspended
     assert backend.config.dur_threshold_frac == pytest.approx(0.1)
@@ -333,29 +335,29 @@ def test_guard_dead_band_holds_state():
     sim = Simulator()
     config = OrionConfig(hp_request_latency=10e-3, dur_threshold_frac=0.05)
     backend, _device, _hp, _be = setup_backend(sim, config)
-    guard = SloGuard(sim, backend, guard_config()).start()
+    _guard, control = start_guard(sim, backend)
     # Between recover_margin*slo (4.25ms) and slo (5ms): the dead band.
     feed(backend, 4.6e-3)
     sim.run(until=10.5e-3)
-    assert guard.actions == []
+    assert control.actions == []
     assert backend.config.dur_threshold_frac == pytest.approx(0.05)
 
 
 def test_guard_needs_min_samples():
     sim = Simulator()
     backend, _device, _hp, _be = setup_backend(sim)
-    guard = SloGuard(sim, backend, guard_config(min_samples=8)).start()
+    guard, control = start_guard(sim, backend, min_samples=8)
     feed(backend, 50e-3, n=3)
     sim.run(until=5.5e-3)
-    assert guard.actions == []
-    assert guard.windowed_quantile() is None
+    assert control.actions == []
+    assert guard.windowed_quantile(backend) is None
 
 
 def test_guard_resets_window_on_action():
     sim = Simulator()
     config = OrionConfig(hp_request_latency=10e-3, dur_threshold_frac=0.1)
     backend, _device, _hp, _be = setup_backend(sim, config)
-    SloGuard(sim, backend, guard_config(reset_window_on_action=True)).start()
+    start_guard(sim, backend, reset_window_on_action=True)
     feed(backend, 20e-3)
     sim.run(until=1.5e-3)
     # One tighten, then the stale breach samples are gone: the next
@@ -370,14 +372,14 @@ def test_guard_actions_canonical():
     sim = Simulator()
     config = OrionConfig(hp_request_latency=10e-3, dur_threshold_frac=0.1)
     backend, _device, _hp, _be = setup_backend(sim, config)
-    guard = SloGuard(sim, backend, guard_config()).start()
+    guard, control = start_guard(sim, backend)
     feed(backend, 20e-3)
     sim.run(until=1.5e-3)
-    entry = guard.actions[0]
+    entry = control.actions[0]
     assert set(entry) == {"time", "action", "observed", "slo",
                           "dur_threshold_frac", "suspended"}
-    json.dumps(guard.actions)  # must be serializable as-is
-    assert guard.summary()["actions"] == {"tighten": 1}
+    json.dumps(control.actions)  # must be serializable as-is
+    assert guard.summary(control)["actions"] == {"tighten": 1}
 
 
 # ----------------------------------------------------------------------
