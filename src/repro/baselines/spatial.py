@@ -11,12 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.gpu.device import GpuDevice
-from repro.runtime.backend import BackendOptions
 from repro.runtime.direct import DirectStreamBackend
-from repro.sim.engine import Simulator
 
 __all__ = ["StreamsBackend", "PriorityStreamsBackend", "MpsBackend"]
 
@@ -25,22 +20,13 @@ class StreamsBackend(DirectStreamBackend):
     """Multi-threaded clients, one default-priority stream each."""
 
     name = "streams"
-    process_per_client = False
-
-    def __init__(self, sim: Simulator, device: GpuDevice,
-                 options: Optional[BackendOptions] = None):
-        super().__init__(sim, device, use_priorities=False, options=options)
 
 
 class PriorityStreamsBackend(DirectStreamBackend):
     """GPU Streams with a high-priority stream for the HP job."""
 
     name = "priority-streams"
-    process_per_client = False
-
-    def __init__(self, sim: Simulator, device: GpuDevice,
-                 options: Optional[BackendOptions] = None):
-        super().__init__(sim, device, use_priorities=True, options=options)
+    use_priorities = True
 
 
 class MpsBackend(DirectStreamBackend):
@@ -53,7 +39,3 @@ class MpsBackend(DirectStreamBackend):
 
     name = "mps"
     process_per_client = True
-
-    def __init__(self, sim: Simulator, device: GpuDevice,
-                 options: Optional[BackendOptions] = None):
-        super().__init__(sim, device, use_priorities=False, options=options)

@@ -16,54 +16,37 @@ alternating offsets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.gpu.device import GpuDevice
-from repro.runtime.backend import Backend, BackendOptions, ClientInfo, Op
+from repro.runtime.backend import BackendOptions, ClientInfo
+from repro.runtime.direct import DirectStreamBackend
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
 __all__ = ["TickTockBackend"]
 
 
-class TickTockBackend(Backend):
-    """Phase-synchronized training collocation."""
+class TickTockBackend(DirectStreamBackend):
+    """Phase-synchronized training collocation.
+
+    Its "queue" is the phase barrier: ``_waiting`` holds the gate of
+    each client waiting there, for wait telemetry and the release.
+    """
 
     name = "ticktock"
+    stream_name = "ticktock-{}"
+    wait_metric = "barrier"
 
     def __init__(self, sim: Simulator, device: GpuDevice,
                  options: Optional[BackendOptions] = None):
-        super().__init__(sim, options)
-        self.device = device
-        self._streams: Dict[str, object] = {}
-        self._waiting: Dict[str, Signal] = {}
+        super().__init__(sim, device, options)
         self.barriers_released = 0
-        # Per-client barrier-wait telemetry (Tick-Tock has no software
-        # op queues; its "queue" is the phase barrier).  Instruments
-        # live on the MetricsRegistry; cached per client.
-        self._waits: Dict[str, tuple] = {}
-
-    def _wait_instruments(self, client_id: str) -> tuple:
-        inst = self._waits.get(client_id)
-        if inst is None:
-            inst = (self.metrics.counter("barrier_wait_total",
-                                         client=client_id),
-                    self.metrics.gauge("barrier_waiting", client=client_id))
-            self._waits[client_id] = inst
-        return inst
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         if kind != "training":
             raise ValueError("Tick-Tock collocates training jobs only")
-        info = self._register(client_id, high_priority, kind)
-        self._streams[client_id] = self.device.create_stream(
-            name=f"ticktock-{client_id}"
-        )
-        return info
-
-    def submit(self, client_id: str, op: Op) -> Signal:
-        self.client_info(client_id)
-        return self._streams[client_id].submit(op)
+        return super().register_client(client_id, high_priority, kind)
 
     def phase_marker(self, client_id: str, phase: str) -> Optional[Signal]:
         """Barrier: wait until every training client reaches a boundary."""
@@ -82,12 +65,8 @@ class TickTockBackend(Backend):
         return gate
 
     def _deregister_cleanup(self, info: ClientInfo) -> None:
-        client_id = info.client_id
-        stream = self._streams.pop(client_id, None)
-        if stream is not None:
-            self.device.destroy_stream(stream)
-        self.device.release_client(client_id)
-        self._waiting.pop(client_id, None)
+        super()._deregister_cleanup(info)
+        self._waiting.pop(info.client_id, None)
         # A dead partner must not strand survivors at the barrier: if
         # everyone still alive is already waiting, release them.  The
         # base class removes the dead client from ``clients`` after this
@@ -102,23 +81,5 @@ class TickTockBackend(Backend):
             self.tracer.instant("scheduler", "barrier_release",
                                 clients=len(waiting))
         for client_id, signal in waiting.items():
-            if client_id in self._waits:
-                self._waits[client_id][1].value = 0
+            self._waits[client_id][1].value = 0
             signal.trigger()
-
-    def queue_telemetry(self) -> Dict[str, dict]:
-        """Barrier-wait snapshot in the uniform queue-telemetry schema:
-        ``depth`` is 1 while the client is held at a phase barrier."""
-        snapshot = {}
-        for client_id, (enqueued, waiting) in sorted(self._waits.items()):
-            snapshot[client_id] = {
-                "depth": 1 if client_id in self._waiting else 0,
-                "enqueued_total": enqueued.value,
-                "max_depth_seen": waiting.max_seen,
-                "rejected_total": 0,
-                "max_depth": None,
-            }
-        return snapshot
-
-    def devices(self) -> List[GpuDevice]:
-        return [self.device]

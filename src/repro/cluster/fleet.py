@@ -346,9 +346,7 @@ class FleetGpu:
         self.state = "down"  # boot() flips to "up"
         self.stack: Optional[GpuStack] = None  # None while down
         self.workers: Dict[str, _TenantWorker] = {}
-        self.health = GpuHealth(
-            window=fleet.health_window,
-            latency_tolerance=fleet.health_latency_tolerance)
+        self.health = GpuHealth()
         self.crashes = 0
         self.recoveries = 0
         self.jobs_completed = 0
@@ -665,11 +663,8 @@ class Fleet:
         tenants: Sequence[TenantSpec],
         backend: str = "orion",
         ledger: Optional[ErrorLedger] = None,
-        metrics: Optional[MetricsRegistry] = None,
         interference_weight: float = 1.0,
         health_weight: float = 4.0,
-        health_window: int = 32,
-        health_latency_tolerance: float = 2.0,
         assignment: Optional[Dict[str, int]] = None,
         max_tenants_per_gpu: int = 2,
     ):
@@ -708,9 +703,7 @@ class Fleet:
         # Every GPU boots on the same testbed.
         self.testbed = testbed
         device_spec = testbed.device_spec
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.health_window = health_window
-        self.health_latency_tolerance = health_latency_tolerance
+        self.metrics = MetricsRegistry()
 
         self.plans = {t.model: build_plan(t.model, "inference")
                       for t in self.tenants}
@@ -879,14 +872,13 @@ class Fleet:
 
         Covers the router backlog (through the public
         :meth:`FleetRouter.drain_backlog` API), jobs waiting out a
-        failover backoff, jobs parked with a migration controller
-        mid-move, and every worker's pending/current job — so
+        failover backoff, and every worker's pending/current job — so
         ``submitted == served + shed + failed + dropped`` holds exactly.
+        A migration controller holds no jobs: a drain requeues its jobs
+        synchronously, into the backlog or onto a worker.
         """
         dropped = 0
         unfinished = self.router.drain_backlog() + self.router.drain_backoff()
-        if self.migration is not None:
-            unfinished.extend(self.migration.drain_in_transit())
         for job in unfinished:
             self.stats[job.tenant].dropped += 1
             dropped += 1

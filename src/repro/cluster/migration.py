@@ -469,12 +469,6 @@ class MigrationController:
         self._finish(record, outcome, fleet.assignment.get(tenant))
 
     # -- accounting hooks -----------------------------------------------
-    def drain_in_transit(self) -> List:
-        """Jobs the controller is holding at the horizon (always empty:
-        drains requeue synchronously — kept as the accounting hook so
-        :meth:`Fleet.drain_unfinished` stays total by construction)."""
-        return []
-
     def digest_lines(self) -> List[str]:
         """Migration transitions for the routing digest (event order)."""
         return list(self._digest)

@@ -26,12 +26,12 @@ from typing import Deque, Dict, List, Optional
 
 from repro.gpu.cuda_events import CudaEvent
 from repro.gpu.device import GpuDevice
-from repro.gpu.errors import CudaError, CudaErrorCode
 from repro.kernels.kernel import KernelOp, MemoryOp, ResourceProfile
 from repro.profiler.profiles import KernelProfile, ProfileStore
 from repro.runtime.backend import (
     Backend,
     BackendOptions,
+    BeClientState,
     ClientInfo,
     Op,
     SoftwareQueue,
@@ -71,7 +71,7 @@ class OrionConfig(PolicyConfig):
     each best-effort software queue (None = unbounded, the paper's
     behaviour); when a queue is full, ``overload_policy`` decides
     whether ``submit`` blocks the client until the queue drains to
-    ``be_queue_high_water`` ("block", the default) or rejects the op
+    half its depth ("block", the default) or rejects the op
     with a retryable ``QUEUE_FULL`` status ("reject"), for every
     best-effort client alike.
     ``fallback_hp_latency`` is the HP request latency assumed before
@@ -95,7 +95,6 @@ class OrionConfig(PolicyConfig):
                  watchdog_interval: float = 1e-3,
                  fallback_hp_latency: float = _FALLBACK_HP_LATENCY,
                  be_queue_depth: Optional[int] = None,
-                 be_queue_high_water: Optional[int] = None,
                  overload_policy: str = "block",
                  protect_prefill: bool = True,
                  hp_window: int = 128, **kwargs):
@@ -119,21 +118,19 @@ class OrionConfig(PolicyConfig):
         self.watchdog_interval = watchdog_interval
         self.fallback_hp_latency = fallback_hp_latency
         self.be_queue_depth = be_queue_depth
-        self.be_queue_high_water = be_queue_high_water
         self.overload_policy = overload_policy
         self.protect_prefill = protect_prefill
         self.hp_window = hp_window
 
 
-class _BeClientState:
+class _BeClientState(BeClientState):
     """Per-best-effort-client scheduling state."""
 
-    __slots__ = ("queue", "stream", "event", "outstanding",
-                 "head_op", "head_version", "head_profile", "head_missed")
+    __slots__ = ("event", "head_op", "head_version", "head_profile",
+                 "head_missed")
 
     def __init__(self, queue: SoftwareQueue, stream):
-        self.queue = queue
-        self.stream = stream
+        super().__init__(queue, stream)
         self.event = CudaEvent()
         self.outstanding = 0.0  # expected seconds of submitted-unfinished work
         # Profile of the queue's head kernel, valid while the head is
@@ -149,6 +146,7 @@ class OrionBackend(Backend):
     """Fine-grained, interference-aware GPU scheduler."""
 
     name = "orion"
+    _be_state_type = _BeClientState
 
     def __init__(
         self,
@@ -158,16 +156,9 @@ class OrionBackend(Backend):
         config: Optional[OrionConfig] = None,
         options: Optional[BackendOptions] = None,
     ):
-        super().__init__(sim, options)
-        self.device = device
+        super().__init__(sim, device, options)
         self.profiles = profiles
         self.config = config or OrionConfig()
-        self._hp_queue: Optional[SoftwareQueue] = None
-        self._hp_stream = None
-        self._hp_client_id: Optional[str] = None
-        self._be: Dict[str, _BeClientState] = {}
-        self._current_hp: Optional[KernelOp] = None
-        self._started = False
         # EWMA of observed HP request latency (used when no profiled
         # latency was supplied).
         self._hp_latency_ewma: Optional[float] = None
@@ -202,29 +193,10 @@ class OrionBackend(Backend):
     # Backend interface
     # ------------------------------------------------------------------
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
-        info = self._register(client_id, high_priority, kind)
-        if high_priority:
-            if self._hp_queue is not None:
-                raise ValueError("Orion supports exactly one high-priority client")
-            priority = 1 if self.config.use_stream_priorities else 0
-            self._hp_stream = self.device.create_stream(priority=priority,
-                                                        name="orion-hp")
-            # The HP queue is never bounded: overload protection sheds
-            # best-effort work, not the latency-critical job's.
-            self._hp_queue = self._new_queue(client_id)
-            self._hp_client_id = client_id
-        else:
-            stream = self.device.create_stream(priority=0, name=f"orion-be-{client_id}")
-            queue = self._new_queue(client_id,
-                                    max_depth=self.config.be_queue_depth,
-                                    high_water=self.config.be_queue_high_water)
-            state = _BeClientState(queue, stream)
-            self._be[client_id] = state
-            self._be_order.append(client_id)
-        return info
-
-    def devices(self) -> List[GpuDevice]:
-        return [self.device]
+        return self._register_queued(
+            client_id, high_priority, kind,
+            hp_priority=1 if self.config.use_stream_priorities else 0,
+            be_queue_depth=self.config.be_queue_depth)
 
     def interception_overhead(self) -> float:
         return ORION_INTERCEPTION_OVERHEAD
@@ -245,12 +217,10 @@ class OrionBackend(Backend):
             "be_suspensions": self.be_suspensions,
         }
 
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self._start_scheduler()
-            if self.config.watchdog_multiple is not None:
-                spawn(self.sim, self._run_watchdog(), "orion-watchdog")
+    def _start_scheduler(self) -> None:
+        super()._start_scheduler()
+        if self.config.watchdog_multiple is not None:
+            spawn(self.sim, self._run_watchdog(), "orion-watchdog")
 
     def submit(self, client_id: str, op: Op) -> Signal:
         # Hot path: direct dict lookup (client_info adds a call frame).
@@ -277,7 +247,7 @@ class OrionBackend(Backend):
             if info.high_priority and op.kind.is_transfer:
                 self._hp_transfers_active += 1
                 done.add_callback(lambda _sig: self._hp_transfer_done())
-            self._watch_stream(done)
+            self._watch(done)
             return done
         if info.high_priority:
             done = self._hp_queue.push(op)
@@ -333,24 +303,10 @@ class OrionBackend(Backend):
 
     def _deregister_cleanup(self, info: ClientInfo) -> None:
         """Self-healing teardown for a dead client (§7's cluster-manager
-        duty, absorbed into the scheduler): drain its software queue
-        with errored signals, destroy its stream, free its allocations,
-        repair the round-robin state, and — for the high-priority
-        client — vacate the HP slot so a successor can register."""
-        client_id = info.client_id
-        error = CudaError(CudaErrorCode.CLIENT_KILLED,
-                          "client deregistered with ops pending",
-                          client_id=client_id, time=self.sim.now)
-        # Scheduler bookkeeping is repaired *before* any signal fires:
-        # triggering a drained/destroyed op's signal can run a scheduler
-        # pass synchronously, and it must never observe the dead client
-        # in its round-robin order or HP slot.
-        if client_id == self._hp_client_id:
-            hp_queue, hp_stream = self._hp_queue, self._hp_stream
-            self._hp_queue = None
-            self._hp_stream = None
-            self._hp_client_id = None
-            self._current_hp = None
+        duty, absorbed into the scheduler): the base drains and vacates
+        its queue, stream and slot so a successor can register; the
+        request state of a dead high-priority client is reset first."""
+        if info.client_id == self._hp_client_id:
             self._hp_request_started_at = None
             self._hp_request_deadline = None
             self._hp_phase = None
@@ -358,18 +314,8 @@ class OrionBackend(Backend):
             # estimate must be re-learned, not inherited from the dead one.
             self._hp_latency_ewma = None
             self.hp_latency_window.clear()
-            for _op, done in hp_queue.drain():
-                done.trigger(None, error=error)
-            self.device.destroy_stream(hp_stream, error=error)
-        elif client_id in self._be:
-            state = self._be.pop(client_id)
-            self._leave_rotation(client_id)
-            for _op, done in state.queue.drain():
-                done.trigger(None, error=error)
-            self.device.destroy_stream(state.stream, error=error)
-        self.device.release_client(client_id)
         self.clients_deregistered += 1
-        self._wake_scheduler()
+        super()._deregister_cleanup(info)
 
     def end_request(self, client_id: str) -> None:
         if client_id == self._hp_client_id and self._hp_request_started_at is not None:
@@ -467,9 +413,6 @@ class OrionBackend(Backend):
         state.head_profile = profile
         return profile
 
-    def _total_outstanding(self) -> float:
-        return sum(state.outstanding for state in self._be.values())
-
     def _current_hp_profile(self) -> Optional[ResourceProfile]:
         """Profile of the HP kernel executing (or next to execute) now.
 
@@ -489,21 +432,6 @@ class OrionBackend(Backend):
         if self._current_hp is not None:
             return self._current_hp.profile
         return None
-
-    # Listing 1's run_scheduler is Backend._scheduler_pass, event-driven
-    # instead of busy-polling: one pass per wake (new work, or a
-    # completion that changes the world).
-    def _forward_hp(self) -> bool:
-        """High-priority ops: forward immediately, in order."""
-        forwarded = False
-        while self._hp_queue is not None and len(self._hp_queue):
-            op, done = self._hp_queue.pop()
-            inner = self._hp_stream.submit(op)
-            self._chain(inner, done)
-            self._current_hp = op
-            self._watch_stream(inner)
-            forwarded = True
-        return forwarded
 
     def _hp_transfer_done(self) -> None:
         self._hp_transfers_active -= 1
@@ -551,6 +479,10 @@ class OrionBackend(Backend):
                         "overdue_by": now - deadline,
                     })
 
+    # Listing 1's run_scheduler is Backend._scheduler_pass, event-driven
+    # instead of busy-polling: one pass per wake (new work, or a
+    # completion that changes the world).  Its HP bypass is
+    # Backend._forward_hp; the best-effort admission is this method.
     def _try_launch_be(self, client_id: str) -> bool:
         # Only ever called with ids from _be_order: no _be_state frame.
         state = self._be[client_id]
@@ -576,7 +508,7 @@ class OrionBackend(Backend):
             op, done = state.queue.pop()
             inner = state.stream.submit(op)
             self._chain(inner, done)
-            self._watch_stream(inner)
+            self._watch(inner)
             return True
         if op is state.head_op and state.head_version == self.profiles.version:
             be_profile = state.head_profile
@@ -641,7 +573,7 @@ class OrionBackend(Backend):
         self._chain(inner, done)
         state.outstanding += be_profile.duration
         state.event.record(state.stream)
-        self._watch_stream(inner)
+        self._watch(inner)
         self.be_kernels_launched += 1
         self._wake_watchdog()
         return True
@@ -649,11 +581,3 @@ class OrionBackend(Backend):
     def _trace_be_block(self, client_id: str, reason: str) -> None:
         self.tracer.instant("scheduler", "be_block", client=client_id,
                             reason=reason)
-
-    def _chain(self, inner: Signal, outer: Signal) -> None:
-        """Forward the stream's completion to the client's signal."""
-        inner.add_callback(lambda sig: outer.trigger(sig.value, error=sig.error))
-
-    def _watch_stream(self, done: Signal) -> None:
-        """Re-evaluate the policy when a submitted op completes."""
-        done.add_callback(lambda _sig: self._wake_scheduler())

@@ -22,8 +22,8 @@ from repro.sim.process import Signal
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import NULL_TRACER
 
-__all__ = ["Backend", "BackendOptions", "ClientInfo", "SoftwareQueue", "Op",
-           "UnknownClientError"]
+__all__ = ["Backend", "BackendOptions", "BeClientState", "ClientInfo",
+           "SoftwareQueue", "Op", "UnknownClientError"]
 
 Op = Union[KernelOp, MemoryOp]
 
@@ -210,21 +210,55 @@ class SoftwareQueue:
         }
 
 
+class BeClientState:
+    """A best-effort client of a software-queue technique: its queue, its
+    stream and the work it has outstanding on the GPU (the technique's
+    own measure: a kernel count for REEF, expected seconds for Orion)."""
+
+    __slots__ = ("queue", "stream", "outstanding")
+
+    def __init__(self, queue: SoftwareQueue, stream):
+        self.queue = queue
+        self.stream = stream
+        self.outstanding = 0
+
+
 class Backend(abc.ABC):
-    """One GPU-sharing technique."""
+    """One GPU-sharing technique.
+
+    The base owns the client plumbing every technique shares: the
+    registry of clients, the single-device default of :meth:`devices`,
+    the once-only :meth:`start`, the kill error of a deregistered
+    client's pending ops, queue/wait telemetry and the software-queue
+    scheduler (Orion, REEF).  A technique supplies its policy.
+    """
 
     #: Human-readable baseline name (matches the paper's figures).
     name: str = "abstract"
     #: Whether clients run as threads of one process (share a GIL).
     process_per_client: bool = False
+    #: Per-client state of a best-effort client in a software queue.
+    _be_state_type = BeClientState
+    #: Name prefix of the wait instruments of a technique whose "queue"
+    #: is a wait (temporal: "slice", Tick-Tock: "barrier").
+    wait_metric: str = "wait"
 
-    def __init__(self, sim: Simulator, options: Optional[BackendOptions] = None):
+    def __init__(self, sim: Simulator, device: Optional[GpuDevice] = None,
+                 options: Optional[BackendOptions] = None):
         self.sim = sim
+        # The shared GPU (None for a technique that gives each client a
+        # device of its own).
+        self.device = device
         self.options = options if options is not None else BackendOptions()
         self.clients: Dict[str, ClientInfo] = {}
+        self._started = False
         # Registry of software queues for uniform depth telemetry; a
         # backend that queues ops creates queues via _new_queue.
         self._software_queues: Dict[str, SoftwareQueue] = {}
+        # Wait telemetry: (waits counter, waiting gauge) per client, and
+        # the clients waiting now, with the signal each waits on.
+        self._waits: Dict[str, tuple] = {}
+        self._waiting: Dict[str, Signal] = {}
         # Telemetry: off by default (nil-tracer fast path).  A run's
         # tracer/registry come in through BackendOptions, so they are in
         # place before clients register and capture them.
@@ -232,10 +266,16 @@ class Backend(abc.ABC):
             if self.options.tracer is not None else NULL_TRACER
         self.metrics = self.options.metrics \
             if self.options.metrics is not None else MetricsRegistry()
-        # Software-queue scheduler state (Orion, REEF): best-effort
-        # clients in round-robin order, and a guard that is True while a
-        # pass runs and before the first pass — wakes in either window
-        # are dropped (see _wake_scheduler).
+        # Software-queue scheduler state (Orion, REEF): the one
+        # high-priority slot, best-effort clients in round-robin order,
+        # and a guard that is True while a pass runs and before the
+        # first pass — wakes in either window are dropped (see
+        # _wake_scheduler).
+        self._hp_queue: Optional[SoftwareQueue] = None
+        self._hp_stream = None
+        self._hp_client_id: Optional[str] = None
+        self._current_hp: Optional[KernelOp] = None
+        self._be: Dict[str, BeClientState] = {}
         self._be_order: List[str] = []
         self._rr_index = 0
         self._in_pass = True
@@ -251,7 +291,7 @@ class Backend(abc.ABC):
 
     def devices(self) -> List[GpuDevice]:
         """Devices this backend occupies (for cost accounting)."""
-        raise NotImplementedError
+        return [self.device]
 
     # --- optional hooks -------------------------------------------------
     def begin_request(self, client_id: str,
@@ -279,7 +319,11 @@ class Backend(abc.ABC):
         return None
 
     def start(self) -> None:
-        """Start any scheduler processes (called once before the run)."""
+        """Start the technique's scheduler (called before the run; a
+        second call does nothing)."""
+        if not self._started:
+            self._started = True
+            self._start_scheduler()
 
     def interception_overhead(self) -> float:
         """Per-op host-side overhead this backend adds (seconds)."""
@@ -299,18 +343,128 @@ class Backend(abc.ABC):
             raise UnknownClientError(client_id, self.name) from None
 
     def deregister_client(self, client_id: str) -> None:
-        """Remove a (dead) client: its software queue is drained with
-        pending signals errored, its stream destroyed, and its device
-        allocations freed.  Idempotence is NOT provided — a second call
-        raises :class:`UnknownClientError`."""
+        """Remove a (dead) client: its pending ops complete with a
+        client-attributed ``CLIENT_KILLED`` error, its stream is
+        destroyed, and its device allocations are freed.  Idempotence
+        is NOT provided — a second call raises
+        :class:`UnknownClientError`."""
         info = self.client_info(client_id)
         self._deregister_cleanup(info)
         del self.clients[client_id]
 
-    def _deregister_cleanup(self, info: ClientInfo) -> None:
-        """Backend-specific teardown hook for :meth:`deregister_client`."""
+    def _kill_error(self, client_id: str) -> CudaError:
+        """The error a deregistered client's pending ops complete with."""
+        return CudaError(CudaErrorCode.CLIENT_KILLED,
+                         "client deregistered with ops pending",
+                         client_id=client_id, time=self.sim.now)
+
+    def _register(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
+        if client_id in self.clients:
+            raise ValueError(f"duplicate client id {client_id!r}")
+        info = ClientInfo(client_id, high_priority, kind)
+        self.clients[client_id] = info
+        return info
+
+    # --- queue and wait telemetry ---------------------------------------
+    def queue_telemetry(self) -> Dict[str, dict]:
+        """Per-client software-queue depth snapshot (overload telemetry).
+
+        Keys are stable across backends — ``depth``, ``enqueued_total``,
+        ``max_depth_seen``, ``rejected_total``, ``max_depth`` — so
+        overload tests can assert on queue growth uniformly.  Queues of
+        deregistered clients are retained (their final stats matter for
+        post-run accounting) until a successor re-registers the id.  A
+        technique without software queues reports its waits in the same
+        schema: ``depth`` is 1 while the client waits for its time slice
+        or at the phase barrier.
+        """
+        telemetry = {client_id: queue.snapshot()
+                     for client_id, queue in sorted(self._software_queues.items())}
+        for client_id, (waits, waiting) in sorted(self._waits.items()):
+            telemetry[client_id] = {
+                "depth": 1 if client_id in self._waiting else 0,
+                "enqueued_total": waits.value,
+                "max_depth_seen": waiting.max_seen,
+                "rejected_total": 0,
+                "max_depth": None,
+            }
+        return telemetry
+
+    def _new_queue(self, client_id: str,
+                   max_depth: Optional[int] = None) -> SoftwareQueue:
+        """Create and register a software queue for ``client_id``."""
+        queue = SoftwareQueue(self.sim, client_id, max_depth=max_depth,
+                              registry=self.metrics, tracer=self.tracer)
+        self._software_queues[client_id] = queue
+        return queue
+
+    def _wait_instruments(self, client_id: str) -> tuple:
+        """``client_id``'s (waits counter, waiting gauge) on the metrics
+        registry, created on first use."""
+        inst = self._waits.get(client_id)
+        if inst is None:
+            inst = (self.metrics.counter(f"{self.wait_metric}_wait_total",
+                                         client=client_id),
+                    self.metrics.gauge(f"{self.wait_metric}_waiting",
+                                       client=client_id))
+            self._waits[client_id] = inst
+        return inst
 
     # --- software-queue scheduler (Orion, REEF) -------------------------
+    def _register_queued(self, client_id: str, high_priority: bool, kind: str,
+                         hp_priority: int,
+                         be_queue_depth: Optional[int]) -> ClientInfo:
+        """Register a client in front of the scheduler.  The one
+        high-priority client takes the HP slot: a ``<name>-hp`` stream at
+        ``hp_priority`` and an unbounded queue (overload protection sheds
+        best-effort work, not the latency-critical job's).  A best-effort
+        client gets a ``<name>-be-<id>`` stream, a queue bounded at
+        ``be_queue_depth`` and a place in the round-robin order."""
+        if high_priority and self._hp_queue is not None:
+            raise ValueError(
+                f"{self.name} supports exactly one high-priority client")
+        info = self._register(client_id, high_priority, kind)
+        if high_priority:
+            self._hp_stream = self.device.create_stream(
+                priority=hp_priority, name=f"{self.name}-hp")
+            self._hp_queue = self._new_queue(client_id)
+            self._hp_client_id = client_id
+        else:
+            stream = self.device.create_stream(
+                priority=0, name=f"{self.name}-be-{client_id}")
+            queue = self._new_queue(client_id, max_depth=be_queue_depth)
+            self._be[client_id] = self._be_state_type(queue, stream)
+            self._be_order.append(client_id)
+        return info
+
+    def _deregister_cleanup(self, info: ClientInfo) -> None:
+        """Drain the dead client's software queue and destroy its stream,
+        both with the kill error; vacate the HP slot or leave the
+        round-robin order; free its allocations."""
+        client_id = info.client_id
+        error = self._kill_error(client_id)
+        # Scheduler bookkeeping is repaired *before* any signal fires:
+        # triggering a drained/destroyed op's signal can run a scheduler
+        # pass synchronously, and it must never observe the dead client
+        # in its round-robin order or HP slot.
+        if client_id == self._hp_client_id:
+            hp_queue, hp_stream = self._hp_queue, self._hp_stream
+            self._hp_queue = None
+            self._hp_stream = None
+            self._hp_client_id = None
+            self._current_hp = None
+            for _op, done in hp_queue.drain():
+                done.trigger(None, error=error)
+            self.device.destroy_stream(hp_stream, error=error)
+        elif client_id in self._be:
+            state = self._be.pop(client_id)
+            self._leave_rotation(client_id)
+            for _op, done in state.queue.drain():
+                done.trigger(None, error=error)
+            self.device.destroy_stream(state.stream, error=error)
+        self.device.release_client(client_id)
+        self._wake_scheduler()
+
     def _start_scheduler(self) -> None:
         """Run the first scheduler pass as one zero-delay event.  Wakes
         before it fires are folded into it."""
@@ -350,8 +504,17 @@ class Backend(abc.ABC):
                     progressed = True
 
     def _forward_hp(self) -> bool:
-        """Submit every queued high-priority op; True if any moved."""
-        raise NotImplementedError
+        """HP bypass: submit every queued high-priority op, in order, to
+        the HP stream; True if any moved."""
+        forwarded = False
+        while self._hp_queue is not None and len(self._hp_queue):
+            op, done = self._hp_queue.pop()
+            inner = self._hp_stream.submit(op)
+            self._chain(inner, done)
+            self._current_hp = op
+            self._watch(inner)
+            forwarded = True
+        return forwarded
 
     def _try_launch_be(self, client_id: str) -> bool:
         """Launch ``client_id``'s head op if the policy allows it now."""
@@ -363,30 +526,10 @@ class Backend(abc.ABC):
         self._rr_index = self._rr_index % len(self._be_order) \
             if self._be_order else 0
 
-    def queue_telemetry(self) -> Dict[str, dict]:
-        """Per-client software-queue depth snapshot (overload telemetry).
+    def _chain(self, inner: Signal, outer: Signal) -> None:
+        """Forward the stream's completion to the client's signal."""
+        inner.add_callback(lambda sig: outer.trigger(sig.value, error=sig.error))
 
-        Keys are stable across backends — ``depth``, ``enqueued_total``,
-        ``max_depth_seen``, ``rejected_total``, ``max_depth`` — so
-        overload tests can assert on queue growth uniformly.  Queues of
-        deregistered clients are retained (their final stats matter for
-        post-run accounting) until a successor re-registers the id.
-        """
-        return {client_id: queue.snapshot()
-                for client_id, queue in sorted(self._software_queues.items())}
-
-    def _new_queue(self, client_id: str, max_depth: Optional[int] = None,
-                   high_water: Optional[int] = None) -> SoftwareQueue:
-        """Create and register a software queue for ``client_id``."""
-        queue = SoftwareQueue(self.sim, client_id, max_depth=max_depth,
-                              high_water=high_water,
-                              registry=self.metrics, tracer=self.tracer)
-        self._software_queues[client_id] = queue
-        return queue
-
-    def _register(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
-        if client_id in self.clients:
-            raise ValueError(f"duplicate client id {client_id!r}")
-        info = ClientInfo(client_id, high_priority, kind)
-        self.clients[client_id] = info
-        return info
+    def _watch(self, done: Signal) -> None:
+        """Re-evaluate the policy when a submitted op completes."""
+        done.add_callback(lambda _sig: self._wake_scheduler())

@@ -2,7 +2,9 @@
 
 ``DirectStreamBackend`` maps each client to its own CUDA stream on one
 shared device and submits ops straight through — this is the substrate
-for the GPU Streams, Priority Streams, and MPS baselines.
+for the GPU Streams, Priority Streams, and MPS baselines, and for the
+techniques that gate clients without reordering their ops (temporal
+sharing, Tick-Tock).
 
 ``DedicatedBackend`` gives every client its own GPU: the paper's Ideal
 configuration (latency lower bound, throughput upper bound).
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.gpu.device import GpuDevice
-from repro.gpu.errors import CudaError, CudaErrorCode
+from repro.gpu.streams import Stream
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
@@ -26,21 +28,27 @@ class DirectStreamBackend(Backend):
     """One stream per client on a shared device; no software scheduling."""
 
     name = "streams"
+    #: Whether a high-priority client's stream gets CUDA priority 1.
+    use_priorities: bool = False
+    #: Name of a client's stream, formatted with its id (names reach
+    #: traces).
+    stream_name: str = "{}-stream"
 
-    def __init__(self, sim: Simulator, device: GpuDevice, use_priorities: bool = False,
+    def __init__(self, sim: Simulator, device: Optional[GpuDevice],
                  options: Optional[BackendOptions] = None):
-        super().__init__(sim, options)
-        self.device = device
-        self.use_priorities = use_priorities
-        self._streams: Dict[str, object] = {}
+        super().__init__(sim, device, options)
+        self._streams: Dict[str, Stream] = {}
 
     def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
         info = self._register(client_id, high_priority, kind)
         priority = info.priority if self.use_priorities else 0
-        self._streams[client_id] = self.device.create_stream(
-            priority=priority, name=f"{client_id}-stream"
-        )
+        self._streams[client_id] = self._place(client_id).create_stream(
+            priority=priority, name=self.stream_name.format(client_id))
         return info
+
+    def _place(self, client_id: str) -> GpuDevice:
+        """The device a new client's stream is created on."""
+        return self.device
 
     def submit(self, client_id: str, op: Op) -> Signal:
         # Hot path: one dict lookup instead of client_info + _streams.
@@ -49,23 +57,20 @@ class DirectStreamBackend(Backend):
             raise UnknownClientError(client_id, self.name)
         return stream.submit(op)
 
-    def devices(self) -> List[GpuDevice]:
-        return [self.device]
+    def _start_scheduler(self) -> None:
+        """Ops go straight to their streams: no scheduler to start."""
 
     def _deregister_cleanup(self, info: ClientInfo) -> None:
         # Parity with the scheduling backends: queued ops of the dead
         # client complete with a client-attributed kill, not an
         # anonymous stream teardown.
-        error = CudaError(CudaErrorCode.CLIENT_KILLED,
-                          "client deregistered with ops pending",
-                          client_id=info.client_id, time=self.sim.now)
-        stream = self._streams.pop(info.client_id, None)
-        if stream is not None:
-            self.device.destroy_stream(stream, error=error)
-        self.device.release_client(info.client_id)
+        stream = self._streams.pop(info.client_id)
+        stream.device.destroy_stream(stream,
+                                     error=self._kill_error(info.client_id))
+        stream.device.release_client(info.client_id)
 
 
-class DedicatedBackend(Backend):
+class DedicatedBackend(DirectStreamBackend):
     """Each client gets a whole GPU to itself (the Ideal baseline)."""
 
     name = "ideal"
@@ -73,23 +78,13 @@ class DedicatedBackend(Backend):
 
     def __init__(self, sim: Simulator, device_factory: Callable[[], GpuDevice],
                  options: Optional[BackendOptions] = None):
-        super().__init__(sim, options)
+        super().__init__(sim, None, options)
         self._device_factory = device_factory
         self._devices: Dict[str, GpuDevice] = {}
-        self._streams: Dict[str, object] = {}
 
-    def register_client(self, client_id: str, high_priority: bool, kind: str) -> ClientInfo:
-        info = self._register(client_id, high_priority, kind)
-        device = self._device_factory()
-        self._devices[client_id] = device
-        self._streams[client_id] = device.create_stream(name=f"{client_id}-stream")
-        return info
-
-    def submit(self, client_id: str, op: Op) -> Signal:
-        stream = self._streams.get(client_id)
-        if stream is None:
-            raise UnknownClientError(client_id, self.name)
-        return stream.submit(op)
+    def _place(self, client_id: str) -> GpuDevice:
+        device = self._devices[client_id] = self._device_factory()
+        return device
 
     def devices(self) -> List[GpuDevice]:
         return list(self._devices.values())
@@ -98,11 +93,5 @@ class DedicatedBackend(Backend):
         return self._devices[client_id]
 
     def _deregister_cleanup(self, info: ClientInfo) -> None:
-        error = CudaError(CudaErrorCode.CLIENT_KILLED,
-                          "client deregistered with ops pending",
-                          client_id=info.client_id, time=self.sim.now)
-        stream = self._streams.pop(info.client_id, None)
-        device = self._devices.pop(info.client_id, None)
-        if device is not None and stream is not None:
-            device.destroy_stream(stream, error=error)
-            device.release_client(info.client_id)
+        del self._devices[info.client_id]
+        super()._deregister_cleanup(info)

@@ -41,6 +41,9 @@ from typing import Any, Dict, List, Tuple
 
 __all__ = ["WatchdogConfig", "WorkerWatchdog"]
 
+#: Seconds between the watchdog thread's scans.
+POLL_INTERVAL = 0.05
+
 
 @dataclass
 class WatchdogConfig:
@@ -53,7 +56,6 @@ class WatchdogConfig:
     abort_grace: float = 5.0
     max_retries: int = 2
     retry_backoff: float = 0.25
-    poll_interval: float = 0.05
 
     @property
     def enabled(self) -> bool:
@@ -124,7 +126,7 @@ class WorkerWatchdog:
     # Loop
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.config.poll_interval):
+        while not self._stop.wait(POLL_INTERVAL):
             now = time.monotonic()
             self._release_due(now)
             if self.config.enabled:

@@ -8,6 +8,7 @@ from repro.baselines.temporal import TemporalBackend
 from repro.baselines.ticktock import TickTockBackend
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
+from repro.runtime.backend import UnknownClientError
 from repro.runtime.client import ClientContext
 from repro.runtime.host import HostThread
 from repro.sim.engine import Simulator
@@ -170,6 +171,9 @@ def test_reef_single_hp_client():
     backend, device, hp, be = reef_setup(sim)
     with pytest.raises(ValueError):
         ClientContext(backend, "hp2", HostThread(sim), high_priority=True)
+    # The refused client leaves no registration behind.
+    with pytest.raises(UnknownClientError):
+        backend.client_info("hp2")
 
 
 def test_reef_limits_outstanding_be(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.spatial import PriorityStreamsBackend
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
 from repro.kernels.kernel import MemoryOpKind
@@ -219,7 +220,7 @@ def test_direct_backend_one_stream_per_client(sim):
 
 def test_direct_backend_priority_mapping(sim):
     device = GpuDevice(sim, V100_16GB)
-    backend = DirectStreamBackend(sim, device, use_priorities=True)
+    backend = PriorityStreamsBackend(sim, device)
     backend.register_client("hp", high_priority=True, kind="inference")
     backend.register_client("be", high_priority=False, kind="inference")
     priorities = {s.name: s.priority for s in device.streams}
