@@ -288,11 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "records (default 256)")
     p.add_argument("--hang-timeout", type=float, default=30.0,
                    help="seconds without a heartbeat before a running "
-                        "job is declared hung (0 disables the "
-                        "watchdog; default 30)")
-    p.add_argument("--abort-grace", type=float, default=5.0,
-                   help="seconds after a cooperative hang-abort before "
-                        "the watchdog force-requeues (default 5)")
+                        "job's worker process is killed and the job "
+                        "retried (0 disables; default 30)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="re-run budget for hung/crashed jobs before "
                         "FAILED (default 2)")
@@ -653,7 +650,6 @@ def _run_serve(args) -> int:
                          fsync_batch=args.fsync_batch,
                          snapshot_every=args.snapshot_every,
                          hang_timeout=args.hang_timeout,
-                         abort_grace=args.abort_grace,
                          max_retries=args.max_retries,
                          retry_backoff=args.retry_backoff)
     server = ServeServer(config)

@@ -9,14 +9,16 @@ pool, and answers ``status``/``result``/``cancel``/``history``/
 ``telemetry``/``shutdown`` verbs.  See DESIGN.md §6.7.
 
 PR 9 makes the daemon durable (DESIGN.md §6.8): a write-ahead job
-journal with crash recovery (``--journal`` / ``--recover``), submit
-idempotency keys that survive restarts, and a worker watchdog that
-detects hung jobs and requeues them with bounded retries.
+journal with crash recovery (``--journal`` / ``--recover``) and submit
+idempotency keys that survive restarts.  Each job runs in a worker
+process; a process that goes ``--hang-timeout`` seconds without a
+heartbeat is killed by its worker thread, and its job is retried with
+bounded retries and backoff.
 
 * :mod:`repro.serve.protocol` — NDJSON framing, verbs, addresses.
-* :mod:`repro.serve.jobs` — Job lifecycle + the bounded pending queue.
+* :mod:`repro.serve.jobs` — Job lifecycle + the bounded pending queue
+  (which also holds retried jobs for their backoff).
 * :mod:`repro.serve.journal` — write-ahead log, snapshots, replay.
-* :mod:`repro.serve.watchdog` — heartbeat hang detection + retries.
 * :mod:`repro.serve.server` — the daemon (:class:`ServeServer`).
 * :mod:`repro.serve.client` — :class:`ServeClient` library.
 """
@@ -40,7 +42,6 @@ from .jobs import (
 from .journal import KILL_POINTS, JobJournal, JournalError, atomic_write_json
 from .protocol import DEFAULT_ADDRESS, MAX_LINE_BYTES, VERBS, ProtocolError
 from .server import ServeConfig, ServeServer
-from .watchdog import WatchdogConfig, WorkerWatchdog
 
 __all__ = [
     "ServeServer",
@@ -55,8 +56,6 @@ __all__ = [
     "JournalError",
     "atomic_write_json",
     "KILL_POINTS",
-    "WatchdogConfig",
-    "WorkerWatchdog",
     "JOB_STATES",
     "TERMINAL_STATES",
     "QUEUED",

@@ -10,13 +10,13 @@ where QUEUED and DISPATCHED jobs can also jump straight to CANCELED
 jump straight to FAILED (admission-time failure: a journaled spec
 that can no longer be rebuilt at recovery).  Two recovery edges
 exist on top of the happy path: DISPATCHED/RUNNING -> QUEUED is a
-*requeue* (crash recovery under ``--recover=requeue``, or the watchdog
-re-admitting a hung job), and DISPATCHED/RUNNING -> INTERRUPTED is the
-terminal verdict under ``--recover=fail`` when a crash caught the job
-mid-flight.  Transitions are validated — an illegal move raises
-:class:`LifecycleError` rather than silently corrupting state, which
-is what keeps the daemon's accounting exact under concurrent cancels,
-watchdog requeues, and journal replay.
+*requeue* (crash recovery under ``--recover=requeue``, or a retry
+after a hung or crashed worker process), and DISPATCHED/RUNNING ->
+INTERRUPTED is the terminal verdict under ``--recover=fail`` when a
+crash caught the job mid-flight.  Transitions are validated — an
+illegal move raises :class:`LifecycleError` rather than silently
+corrupting state, which is what keeps the daemon's accounting exact
+under concurrent cancels, retries, and journal replay.
 
 The :class:`PendingQueue` is the PR-2 overload idiom applied to jobs
 instead of kernels: a bounded priority queue that *rejects at
@@ -25,11 +25,15 @@ work.  Priority is a submit-time integer (higher first); ties dequeue
 FIFO by submission sequence.  Cancels are lazy (the heap entry is
 skipped on pop), with the stale fraction compacted away once it
 crosses a threshold so cancel churn cannot grow the heap unboundedly.
+A retried job is *held* for its backoff delay inside the same queue:
+not poppable and not counted by ``len()`` until it is due, but found
+by ``remove()`` and returned by ``drain()`` like any queued job.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Dict, List, Optional
@@ -89,8 +93,7 @@ class Job:
     __slots__ = ("job_id", "scenario", "spec", "priority", "state",
                  "error", "result_json", "events_processed", "sim_time",
                  "cancel_requested", "transitions", "_lock",
-                 "key", "attempt", "abort_requested", "last_heartbeat",
-                 "hang_detected_at", "recovered")
+                 "key", "attempt", "recovered")
 
     def __init__(self, job_id: str, scenario: Optional[Scenario],
                  spec: Dict[str, Any],
@@ -107,15 +110,8 @@ class Job:
         self.events_processed: Optional[int] = None
         self.sim_time: Optional[float] = None
         self.cancel_requested = False
-        #: Cooperative watchdog abort (hang, not a client cancel) — the
-        #: worker requeues instead of CANCELING when this fires.
-        self.abort_requested = False
         #: 1-based execution attempt; bumped on every requeue.
         self.attempt = 1
-        #: time.monotonic() of the last engine abort-hook poll (the
-        #: run's heartbeat); None while not running.
-        self.last_heartbeat: Optional[float] = None
-        self.hang_detected_at: Optional[float] = None
         #: True when this Job was rebuilt from the journal at startup.
         self.recovered = False
         # (state, wall-clock seconds) pairs, QUEUED first.
@@ -202,7 +198,9 @@ class PendingQueue:
     ``push`` raises :class:`QueueFull` past ``max_pending`` —
     reject-when-full, never block-the-submitter (the daemon must keep
     answering status requests under overload).  ``pop`` blocks up to
-    ``timeout`` so worker threads can poll their stop flag.
+    ``timeout`` so worker threads can poll their stop flag.  A job
+    pushed with a ``delay`` is held until it is due; held jobs stay out
+    of ``len()`` (the admission bound counts runnable work only).
     """
 
     #: Compact the heap once at least this many lazily-canceled
@@ -217,6 +215,8 @@ class PendingQueue:
         self.max_pending = max_pending
         self._heap: List[tuple] = []
         self._removed: set = set()
+        #: (due monotonic time, seq, job) heap of jobs held for backoff.
+        self._held: List[tuple] = []
         self._seq = count()
         self._cond = threading.Condition()
 
@@ -231,29 +231,46 @@ class PendingQueue:
         with self._cond:
             return len(self._heap)
 
-    def push(self, job: Job, force: bool = False) -> None:
+    def push(self, job: Job, force: bool = False, delay: float = 0.0) -> None:
         """Admit a job; raises :class:`QueueFull` past ``max_pending``
         unless ``force`` — requeues and crash recovery must never drop
-        an already-accepted job, so they bypass the admission bound."""
+        an already-accepted job, so they bypass the admission bound.
+        With ``delay > 0`` the job is held that many seconds first."""
         with self._cond:
             if not force and \
                     len(self._heap) - len(self._removed) >= self.max_pending:
                 raise QueueFull(
                     f"pending queue is full ({self.max_pending} jobs)")
-            heappush(self._heap, (-job.priority, next(self._seq), job))
+            if delay > 0:
+                heappush(self._held,
+                         (time.monotonic() + delay, next(self._seq), job))
+            else:
+                heappush(self._heap, (-job.priority, next(self._seq), job))
             self._cond.notify()
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Highest-priority job, or None when empty after ``timeout``."""
+        """Highest-priority due job, or None when there is none after
+        ``timeout`` (or once the earliest held job is due, if sooner)."""
         with self._cond:
+            self._release_due_locked()
             if not self._live_locked():
+                if self._held:
+                    due = max(0.0, self._held[0][0] - time.monotonic())
+                    timeout = due if timeout is None else min(timeout, due)
                 self._cond.wait(timeout)
+                self._release_due_locked()
             return self._pop_locked()
 
     def remove(self, job_id: str) -> Optional[Job]:
-        """Pull a specific job out of the queue (cancel path).  Lazy,
-        like the engine calendar: the heap entry is skipped on pop."""
+        """Pull a specific job out of the queue (cancel path).  A held
+        job leaves at once; a heap entry lazily, like the engine
+        calendar: it is skipped on pop."""
         with self._cond:
+            for index, (_, _, job) in enumerate(self._held):
+                if job.job_id == job_id:
+                    self._held.pop(index)
+                    heapify(self._held)
+                    return job
             for _, _, job in self._heap:
                 if job.job_id == job_id and job.job_id not in self._removed:
                     self._removed.add(job.job_id)
@@ -271,15 +288,24 @@ class PendingQueue:
         self._removed.clear()
 
     def drain(self) -> List[Job]:
-        """Empty the queue, returning the jobs in dequeue order
-        (shutdown path)."""
+        """Empty the queue, returning the jobs in dequeue order, then
+        the held jobs in due order (shutdown path)."""
         drained = []
         with self._cond:
             while True:
                 job = self._pop_locked()
                 if job is None:
-                    return drained
+                    break
                 drained.append(job)
+            while self._held:
+                drained.append(heappop(self._held)[2])
+        return drained
+
+    def _release_due_locked(self) -> None:
+        now = time.monotonic()
+        while self._held and self._held[0][0] <= now:
+            job = heappop(self._held)[2]
+            heappush(self._heap, (-job.priority, next(self._seq), job))
 
     def _live_locked(self) -> bool:
         return len(self._heap) - len(self._removed) > 0

@@ -110,8 +110,8 @@ def _encode(record: Dict[str, Any]) -> bytes:
 class JobJournal:
     """Append-only NDJSON write-ahead log plus its compacted snapshot.
 
-    Thread-safe; the daemon appends from connection handlers, workers,
-    and the watchdog concurrently.
+    Thread-safe; the daemon appends from connection handlers, worker
+    threads, and the shutdown path concurrently.
     """
 
     def __init__(self, path: str, *, fsync_batch: int = 8,

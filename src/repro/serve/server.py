@@ -1,6 +1,6 @@
 """The always-on scheduler daemon behind ``python -m repro serve``.
 
-A :class:`ServeServer` owns five kinds of threads, plus one process per
+A :class:`ServeServer` owns four kinds of threads, plus one process per
 worker:
 
 * an **accept loop** on a Unix/TCP listener, spawning one handler
@@ -13,10 +13,11 @@ worker:
   and cancellation *around* the Scenario machinery, never a second
   execution path, which is what makes the determinism contract (daemon
   result byte-identical to a direct run at the same seed) hold by
-  construction, and no simulation holds the daemon's interpreter lock;
-* a **watchdog** (:mod:`repro.serve.watchdog`) that detects hung
-  running jobs via their worker's heartbeat and requeues them with
-  bounded retries + exponential backoff;
+  construction, and no simulation holds the daemon's interpreter lock.
+  The worker thread also owns hang handling: a run whose process sends
+  no heartbeat for ``hang_timeout`` seconds has that process killed and
+  is retried with bounded retries + exponential backoff, held in the
+  pending queue until its backoff is due;
 * a **telemetry ticker** recording periodic snapshots into a ring; and
 * transient **shutdown** threads (signal handlers and the ``shutdown``
   verb both funnel into the idempotent :meth:`ServeServer.shutdown`).
@@ -37,7 +38,7 @@ thread checks before starting and forwards down its process's pipe,
 where the engine abort hook (:func:`repro.sim.engine.set_abort_check`)
 reads it every 1024 events — the same early-exit shape as the
 client-deregistration drain, applied to the whole run.  The same hook
-sends the watchdog heartbeat.
+sends the heartbeat the worker thread's hang check reads.
 
 Graceful shutdown (SIGINT/SIGTERM or the ``shutdown`` verb): admission
 closes, queued jobs are canceled, running jobs drain (or are aborted in
@@ -83,7 +84,6 @@ from .protocol import (
     error_response,
     ok_response,
 )
-from .watchdog import WatchdogConfig, WorkerWatchdog
 
 __all__ = ["ServeConfig", "ServeServer", "scenario_from_spec"]
 
@@ -107,8 +107,10 @@ class ServeConfig:
     ``journal_path`` enables the write-ahead job journal (crash
     recovery + idempotency across restarts); ``recover`` picks the
     policy for jobs caught mid-flight by a crash.  ``hang_timeout``
-    (0 disables), ``abort_grace``, ``max_retries``, and
-    ``retry_backoff`` parameterize the worker watchdog.
+    (0 disables) is how long a running job's worker process may go
+    without a heartbeat before it is killed; the job is then retried,
+    like one whose process crashed, up to ``max_retries`` times after an
+    exponential backoff from ``retry_backoff`` seconds.
     """
 
     address: str = DEFAULT_ADDRESS
@@ -123,7 +125,6 @@ class ServeConfig:
     fsync_batch: int = 8
     snapshot_every: int = 256
     hang_timeout: float = 30.0
-    abort_grace: float = 5.0
     max_retries: int = 2
     retry_backoff: float = 0.25
 
@@ -138,12 +139,14 @@ class ServeConfig:
                 f"not {self.recover!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
+        if self.drain_timeout is not None and self.drain_timeout < 0:
+            raise ValueError("drain_timeout must be >= 0")
 
-    def watchdog_config(self) -> WatchdogConfig:
-        return WatchdogConfig(hang_timeout=self.hang_timeout,
-                              abort_grace=self.abort_grace,
-                              max_retries=self.max_retries,
-                              retry_backoff=self.retry_backoff)
+    def backoff_for(self, attempt: int) -> float:
+        """Exponential backoff before re-dispatching attempt N+1."""
+        return self.retry_backoff * (2 ** max(0, attempt - 1))
 
 
 class ServeServer:
@@ -161,7 +164,7 @@ class ServeServer:
         self._jobs: Dict[str, Job] = {}
         self._history: List[str] = []
         self._idempotency: Dict[str, str] = {}
-        self._running_ids: Dict[str, "_WorkerSlot"] = {}
+        self._running_ids: set = set()
         self._counters = {key: 0 for key in (
             "submitted", "rejected", "dispatched",
             "completed", "failed", "canceled", "interrupted",
@@ -177,7 +180,6 @@ class ServeServer:
         self._stopped = threading.Event()
         self._threads: List[threading.Thread] = []
         self._journal: Optional[JobJournal] = None
-        self._watchdog: Optional[WorkerWatchdog] = None
         self._started_monotonic = 0.0
         self._started_unix = 0.0
 
@@ -207,9 +209,6 @@ class ServeServer:
                                       daemon=True)
             worker.start()
             self._threads.append(worker)
-        if self.config.workers > 0:
-            self._watchdog = WorkerWatchdog(self, self.config.watchdog_config())
-            self._watchdog.start()
         if self.config.telemetry_interval > 0:
             ticker = threading.Thread(target=self._telemetry_loop,
                                       name="serve-telemetry", daemon=True)
@@ -251,17 +250,7 @@ class ServeServer:
             # the lock — the owner needs it to finish).
             self._stopped.wait()
             return
-        clock = self._clock()
-        pending = self._queue.drain()
-        if self._watchdog is not None:
-            pending.extend(self._watchdog.drain_delayed())
-        for job in pending:
-            with self._lock:
-                if job.try_transition(CANCELED, clock=clock,
-                                      error="daemon shutdown"):
-                    self._journal_transition(job, CANCELED, clock,
-                                             durable=False)
-                    self._finalize(job)
+        self._cancel_pending()
         if mode == "now":
             with self._lock:
                 for job_id in list(self._running_ids):
@@ -284,8 +273,8 @@ class ServeServer:
                     for job_id in list(self._running_ids):
                         self._jobs[job_id].cancel_requested = True
                 thread.join()
-        if self._watchdog is not None:
-            self._watchdog.stop()
+        # A retry requeued while the workers drained would never run.
+        self._cancel_pending()
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -308,6 +297,17 @@ class ServeServer:
         self._write_history()
         log.info("shutdown complete: %s", self._counters)
         self._stopped.set()
+
+    def _cancel_pending(self) -> None:
+        """Cancel every queued job, held ones included (shutdown)."""
+        clock = self._clock()
+        for job in self._queue.drain():
+            with self._lock:
+                if job.try_transition(CANCELED, clock=clock,
+                                      error="daemon shutdown"):
+                    self._journal_transition(job, CANCELED, clock,
+                                             durable=False)
+                    self._finalize(job)
 
     def _clock(self) -> float:
         return time.monotonic() - self._started_monotonic
@@ -717,8 +717,6 @@ class ServeServer:
                 "idempotency_keys": len(self._idempotency),
                 "journal": (self._journal.stats()
                             if self._journal is not None else None),
-                "watchdog": (self._watchdog.stats()
-                             if self._watchdog is not None else None),
             }
 
     def _telemetry_loop(self) -> None:
@@ -762,11 +760,10 @@ class ServeServer:
                 return
             self._journal_transition(job, DISPATCHED, clock, durable=False)
             self._counters["dispatched"] += 1
-            self._running_ids[job.job_id] = slot
+            self._running_ids.add(job.job_id)
         try:
             # Spawn and import time never count against hang_timeout.
             slot.start()
-            job.last_heartbeat = time.monotonic()
             with self._lock:
                 clock = self._clock()
                 if job.try_transition(RUNNING, clock=clock):
@@ -776,17 +773,20 @@ class ServeServer:
                                              durable=True)
             maybe_kill("mid_run")
             started = time.monotonic()
-            reply = slot.run(job)
-        except (EOFError, OSError):
-            # The process died (killed by the watchdog, or crashed).
-            self._retry(job)
+            reply = slot.run(job, self.config.hang_timeout)
+        except (EOFError, OSError):  # the process crashed
             slot.close()
+            self._retry(job, "worker_died")
             return
         kind = reply[0]
-        if kind == "aborted" and job.abort_requested \
-                and not job.cancel_requested:
-            # Watchdog hang-abort, not a client cancel: retry budget.
-            self._retry(job)
+        if kind == "hung":
+            with self._lock:
+                self._counters["hangs"] += 1
+            log.warning("%s: no heartbeat for %.3fs (attempt %d); "
+                        "killed its worker process", job.job_id,
+                        self.config.hang_timeout, job.attempt)
+            slot.close()
+            self._retry(job, "watchdog_hang")
             return
         paced = True
         if kind == "done":
@@ -826,47 +826,21 @@ class ServeServer:
                 return True
             if job.cancel_requested:
                 return False
-            job.last_heartbeat = time.monotonic()
             time.sleep(min(remaining, 0.05))
 
     def _finalize(self, job: Job) -> None:
         with self._lock:
-            self._running_ids.pop(job.job_id, None)
+            self._running_ids.discard(job.job_id)
             if job.terminal and job.job_id not in self._history:
                 self._history.append(job.job_id)
                 self._counters[job.state.lower()] += 1
 
-    # ------------------------------------------------------------------
-    # Watchdog callbacks (see repro.serve.watchdog)
-
-    def _running_jobs(self) -> List[Job]:
+    def _retry(self, job: Job, reason: str) -> None:
+        """The job's worker process hung (and was killed) or died:
+        requeue the job behind its backoff, or fail it past its
+        retries with a structured ``reason``."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._running_ids]
-
-    def _note_hang(self, job: Job) -> None:
-        with self._lock:
-            self._counters["hangs"] += 1
-        log.warning("%s: heartbeat stale beyond %.3fs (attempt %d); "
-                    "requesting cooperative abort", job.job_id,
-                    self.config.hang_timeout, job.attempt)
-
-    def _admit_requeued(self, job: Job) -> None:
-        """A backoff delay elapsed: the requeued job re-enters the
-        pending queue (bypassing the admission bound — it was already
-        accepted once)."""
-        self._queue.push(job, force=True)
-
-    def _retry(self, job: Job) -> None:
-        """The watchdog aborted or killed the hung run, or its worker
-        process died: requeue the job, or fail it past its retries."""
-        requeued = False
-        with self._lock:
-            self._running_ids.pop(job.job_id, None)
-            reason = "watchdog_hang" if job.abort_requested \
-                else "worker_died"
-            job.abort_requested = False
-            job.hang_detected_at = None
-            job.last_heartbeat = None
+            self._running_ids.discard(job.job_id)
             clock = self._clock()
             if job.attempt > self.config.max_retries:
                 error = json.dumps({"reason": reason,
@@ -879,28 +853,12 @@ class ServeServer:
                                              durable=True)
                 self._finalize(job)
                 return
-            delay = self.config.watchdog_config().backoff_for(job.attempt)
+            delay = self.config.backoff_for(job.attempt)
             job.attempt += 1
             if job.try_transition(QUEUED, clock=clock):
                 self._counters["requeued"] += 1
                 self._journal_transition(job, QUEUED, clock, durable=True)
-                requeued = True
-        if requeued:
-            if self._watchdog is not None:
-                self._watchdog.schedule_requeue(job, delay)
-            else:
-                self._admit_requeued(job)
-
-    def _kill_worker(self, job: Job) -> None:
-        """Forceful hang path: SIGKILL a worker process that ignored the
-        cooperative abort; its thread sees EOF and retries the job."""
-        with self._lock:
-            # Under the lock a listed slot is still on this job's run.
-            slot = self._running_ids.get(job.job_id)
-            if slot is not None and slot.process is not None:
-                log.warning("%s: worker unresponsive; killing it "
-                            "(attempt %d)", job.job_id, job.attempt)
-                slot.process.kill()
+                self._queue.push(job, force=True, delay=delay)
 
     # ------------------------------------------------------------------
     # History persistence
@@ -957,20 +915,26 @@ class _WorkerSlot:
         child_conn.close()
         self._conn.recv()
 
-    def run(self, job: Job) -> tuple:
-        """Run ``job`` and return the reply, stamping heartbeats and
-        forwarding a cancel or abort; EOFError/OSError if it dies."""
+    def run(self, job: Job, hang_timeout: float) -> tuple:
+        """Run ``job`` and return the reply, forwarding a cancel.  With
+        ``hang_timeout > 0``, a run that sends no heartbeat for that
+        many seconds has its process killed and returns ``("hung",)``.
+        Raises EOFError/OSError if the process dies."""
         self._conn.send((job.scenario, job.attempt))
-        aborting = False
+        beat = time.monotonic()
+        canceling = False
         while True:
-            if not aborting and (job.cancel_requested or job.abort_requested):
+            if job.cancel_requested and not canceling:
                 self._conn.send(None)
-                aborting = True
+                canceling = True
             if self._conn.poll(0.05):
                 reply = self._conn.recv()
-                job.last_heartbeat = time.monotonic()
                 if reply is not None:
                     return reply
+                beat = time.monotonic()
+            elif 0 < hang_timeout < time.monotonic() - beat:
+                self.process.kill()
+                return ("hung",)
 
     def close(self) -> None:
         """EOF on the pipe ends the process; reap it, killed if slow."""
@@ -985,8 +949,9 @@ class _WorkerSlot:
 def _worker_main(conn, runner) -> None:
     """A worker process: run each ``(scenario, attempt)`` received and
     reply ``("done", to_json(), events_processed, sim_time)``,
-    ``("aborted",)`` or ``("error", text)``; exit on EOF.  The abort
-    hook sends heartbeats (``None``); a ``None`` received is an abort."""
+    ``("aborted",)`` (canceled by the client) or ``("error", text)``;
+    exit on EOF.  The abort hook sends heartbeats (``None``); a ``None``
+    received is a cancel."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C: the daemon drains
 
     def heartbeat_abort_check() -> bool:

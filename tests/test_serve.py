@@ -280,6 +280,75 @@ class TestPendingQueue:
         queue.push(_job("job-2"), force=True)  # requeue/recovery path
         assert len(queue) == 2
 
+    def test_held_job_is_not_popped_before_its_delay(self):
+        queue = PendingQueue(max_pending=4)
+        queue.push(_job("job-1"), force=True, delay=0.3)
+        started = time.monotonic()
+        assert queue.pop(timeout=0.05) is None
+        assert queue.pop(timeout=5).job_id == "job-1"
+        assert time.monotonic() - started >= 0.3
+
+    def test_held_job_is_not_counted(self):
+        queue = PendingQueue(max_pending=1)
+        queue.push(_job("job-1"), force=True, delay=60)
+        assert len(queue) == 0
+        queue.push(_job("job-2"))  # the admission bound ignores the hold
+        assert len(queue) == 1
+
+    def test_drain_and_remove_return_held_jobs(self):
+        queue = PendingQueue(max_pending=4)
+        queue.push(_job("job-1"), force=True, delay=60)
+        queue.push(_job("job-2"), force=True, delay=60)
+        queue.push(_job("job-3"))
+        assert queue.remove("job-1").job_id == "job-1"
+        assert queue.remove("job-1") is None
+        assert [j.job_id for j in queue.drain()] == ["job-3", "job-2"]
+        assert queue.pop(timeout=0) is None
+
+    def test_held_jobs_each_leave_exactly_once_under_contention(self):
+        # Four popping threads race two pushers that hold every other
+        # job and cancel every third: each job must come out of the
+        # queue exactly once, popped or removed.
+        queue = PendingQueue(max_pending=1000)
+        popped, removed = [], []
+        done = threading.Event()
+
+        def pusher(offset):
+            for n in range(100):
+                job = _job(f"job-{offset + n}")
+                queue.push(job, force=True, delay=0.002 * (n % 2))
+                if n % 3 == 0 and queue.remove(job.job_id) is not None:
+                    removed.append(job.job_id)
+
+        def popper():
+            while True:
+                job = queue.pop(timeout=0.01)
+                if job is not None:
+                    popped.append(job.job_id)
+                elif done.is_set():
+                    return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            poppers = [threading.Thread(target=popper) for _ in range(4)]
+            pushers = [threading.Thread(target=pusher, args=(offset,))
+                       for offset in (0, 1000)]
+            for thread in poppers + pushers:
+                thread.start()
+            for thread in pushers:
+                thread.join(timeout=30)
+            time.sleep(0.05)  # every hold is due before the poppers stop
+            done.set()
+            for thread in poppers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in poppers + pushers)
+        assert removed
+        assert sorted(popped + removed) == sorted(
+            f"job-{offset + n}" for offset in (0, 1000) for n in range(100))
+
     def test_heap_stays_bounded_under_cancel_churn(self):
         # Lazy cancels leave stale heap entries; the compaction
         # threshold must keep the raw heap O(live), not O(history).
@@ -300,6 +369,25 @@ class TestPendingQueue:
         assert len(queue) == len(live)
         assert {queue.pop(timeout=0).job_id for _ in live} == \
             {job.job_id for job in live}
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("bad", [
+        {"workers": -1},
+        {"pace": -0.5},
+        {"recover": "retry"},
+        {"max_retries": -1},
+        {"retry_backoff": -0.25},
+        {"drain_timeout": -1.0},
+    ])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            ServeConfig(**bad)
+
+    def test_backoff_doubles_per_attempt(self):
+        config = ServeConfig(retry_backoff=0.25)
+        assert [config.backoff_for(n) for n in (1, 2, 3)] == \
+            [0.25, 0.5, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ import pytest
 from repro.experiments.registry import make_scenario
 from repro.experiments.scenario import run
 from repro.serve import (
+    CANCELED,
     COMPLETED,
     FAILED,
     INTERRUPTED,
     QUEUED,
+    RUNNING,
     JobJournal,
     JournalError,
     ServeClient,
@@ -485,17 +487,18 @@ class TestDaemonRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Watchdog: hang detection, bounded retries, structured failure
+# Hang detection: kill, bounded retries, structured failure
 
 
 def _hang_then_finish(hang_for):
     """A fake run_scenario: wedge without polling the abort hook for
-    ``hang_for`` seconds, then resume polling (and abort)."""
+    ``hang_for`` seconds, then resume polling (and abort).  Past
+    ``hang_timeout`` the worker process is killed mid-wedge."""
     from repro.sim.engine import RunAborted, get_abort_check
 
     def fake(scenario):
         check = get_abort_check()
-        time.sleep(hang_for)  # no heartbeat: the watchdog sees a hang
+        time.sleep(hang_for)  # no heartbeat: the worker thread sees a hang
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             if check is not None and check():
@@ -551,6 +554,18 @@ def _worker_process(timeout=30.0):
     raise AssertionError("no worker process started")
 
 
+def _wait_for(client, job, state, attempt=1, timeout=30.0):
+    """Wait until ``job`` is in ``state`` on at least its ``attempt``-th
+    run (QUEUED on attempt 2: held for its retry backoff)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        record = client.status(job)
+        if record["state"] == state and record["attempt"] >= attempt:
+            return record
+        time.sleep(0.01)
+    raise AssertionError(f"{job} never reached {state} on attempt {attempt}")
+
+
 class TestWatchdog:
     def test_hung_job_is_aborted_requeued_and_completes(self, tmp_path,
                                                         monkeypatch):
@@ -558,7 +573,7 @@ class TestWatchdog:
 
         monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
         monkeypatch.setattr(server_mod, "run_scenario", _hang_once)
-        with serve_daemon(workers=1, hang_timeout=0.2, abort_grace=5.0,
+        with serve_daemon(workers=1, hang_timeout=0.2,
                           max_retries=2,
                           retry_backoff=0.01) as (server, address):
             with ServeClient(address) as client:
@@ -572,13 +587,12 @@ class TestWatchdog:
                 snapshot = client.telemetry()["snapshot"]
                 assert snapshot["counters"]["hangs"] >= 1
                 assert snapshot["counters"]["requeued"] == 1
-                assert snapshot["watchdog"]["hangs_detected"] >= 1
 
     def test_always_hanging_job_fails_structured(self, monkeypatch):
         import repro.serve.server as server_mod
 
         monkeypatch.setattr(server_mod, "run_scenario", _always_hang)
-        with serve_daemon(workers=1, hang_timeout=0.1, abort_grace=5.0,
+        with serve_daemon(workers=1, hang_timeout=0.1,
                           max_retries=1,
                           retry_backoff=0.01) as (server, address):
             with ServeClient(address) as client:
@@ -594,12 +608,12 @@ class TestWatchdog:
                                                           monkeypatch):
         import repro.serve.server as server_mod
 
-        # The first attempt wedges past hang_timeout + abort_grace
-        # WITHOUT ever polling the hook: only the forceful path (a
-        # SIGKILL of its worker process) can requeue it.
+        # The first attempt wedges past hang_timeout WITHOUT ever
+        # polling the hook: only a SIGKILL of its worker process can
+        # requeue it.
         monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
         monkeypatch.setattr(server_mod, "run_scenario", _wedge_once)
-        with serve_daemon(workers=1, hang_timeout=0.15, abort_grace=0.15,
+        with serve_daemon(workers=1, hang_timeout=0.15,
                           max_retries=2, retry_backoff=0.01,
                           drain_timeout=10.0) as (server, address):
             with ServeClient(address) as client:
@@ -612,7 +626,7 @@ class TestWatchdog:
                                            duration=0.05)).to_json()
                 assert client.result_json(job) == direct
                 snapshot = client.telemetry()["snapshot"]
-                assert snapshot["watchdog"]["forced_requeues"] >= 1
+                assert snapshot["counters"]["hangs"] >= 1
                 # The wedged worker was killed, not left to finish: it
                 # can never deliver a late outcome over the replacement's
                 # COMPLETED state.
@@ -621,3 +635,53 @@ class TestWatchdog:
                 assert wedged.exitcode == -signal.SIGKILL
                 time.sleep(0.2)
                 assert client.status(job)["state"] == COMPLETED
+
+    def test_cancel_during_backoff_hold_is_immediate(self, tmp_path,
+                                                     monkeypatch):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
+        monkeypatch.setattr(server_mod, "run_scenario", _hang_once)
+        path = tmp_path / "wal.ndjson"
+        with serve_daemon(workers=1, hang_timeout=0.2, max_retries=2,
+                          retry_backoff=5.0,
+                          journal_path=str(path)) as (server, address):
+            with ServeClient(address) as client:
+                job = client.submit(name="faults", duration=0.05)
+                record = _wait_for(client, job, QUEUED, attempt=2)
+                assert record["attempt"] == 2
+                reply = client.cancel(job)
+                assert reply["state"] == CANCELED
+                assert reply["canceled"] is True
+                assert client.status(job)["state"] == CANCELED
+                # Journaled durable, like any queued cancel.
+                _, records, _ = JobJournal.load(str(path))
+                assert records[-1]["state"] == CANCELED
+
+    # Held before shutdown starts, or requeued into the hold by a hang
+    # while shutdown drains the running job.
+    @pytest.mark.parametrize("held_before_shutdown", [True, False])
+    def test_shutdown_cancels_job_held_in_backoff(self, tmp_path,
+                                                  monkeypatch,
+                                                  held_before_shutdown):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
+        monkeypatch.setattr(server_mod, "run_scenario", _hang_once)
+        history_path = tmp_path / "history.json"
+        with serve_daemon(workers=1, hang_timeout=0.2, max_retries=2,
+                          retry_backoff=5.0,
+                          history_path=str(history_path)) as (server,
+                                                              address):
+            with ServeClient(address) as client:
+                job = client.submit(name="faults", duration=0.05)
+                if held_before_shutdown:
+                    _wait_for(client, job, QUEUED, attempt=2)
+                else:
+                    _wait_for(client, job, RUNNING)
+        history = json.loads(history_path.read_text())
+        [record] = history["jobs"]
+        assert record["id"] == job
+        assert record["state"] == CANCELED
+        assert record["error"] == "daemon shutdown"
+
