@@ -34,11 +34,12 @@ import sys
 import typing
 
 from repro.experiments.registry import make_scenario
-from repro.experiments.params import PARAM_TYPES
+from repro.experiments.params import PARAM_TYPES, LlmParams
 from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run as run_scenario
 from repro.experiments.tables import format_table
 from repro.gpu.specs import DEVICES, get_device
+from repro.serve.server import ServeConfig
 from repro.workloads.models import MODEL_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -51,9 +52,8 @@ _CATALOG_CHOICES = {"model": MODEL_NAMES, "be_model": MODEL_NAMES,
 
 
 def _zero_is_none(scalar):
-    """argparse type for an Optional numeric knob: ``0`` means None
-    (every such knob must be positive when set, so 0 is otherwise
-    unused)."""
+    """argparse type for an Optional knob checked ``positive``: ``0``
+    means None (the check makes 0 otherwise unused)."""
     def parse(text):
         return scalar(text) or None
 
@@ -61,39 +61,41 @@ def _zero_is_none(scalar):
     return parse
 
 
-def _add_knob_flags(parser: argparse.ArgumentParser, kind: str) -> None:
-    """One ``--kebab-name`` flag per scalar field of ``PARAM_TYPES[kind]``.
+def _add_knob_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One ``--kebab-name`` flag per field of the dataclass ``cls``
+    (a ``PARAM_TYPES`` kind or ``ServeConfig``) declared with help text.
 
     Type, default, choices and help come from the dataclass field.
-    Object knobs (``plan``, ``tenants``, ``jobs``, ``orion``) get no
-    flag; fleet's ``placement`` (a name or, in code, a mapping) gets its
+    Knobs without help text (object knobs such as ``plan``, ``tenants``,
+    ``jobs``, ``orion``, and the daemon's ``address``) get no flag;
+    fleet's ``placement`` (a name or, in code, a mapping) gets its
     named choices.
     """
-    cls = PARAM_TYPES[kind]
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
+        if f.metadata["help"] is None:
+            continue
         scalar, optional = hints[f.name], False
         if typing.get_origin(scalar) is typing.Union:
             (scalar,) = [t for t in typing.get_args(scalar)
                          if t is not type(None)]
             optional = True
+        zero_is_none = optional and f.metadata["check"] == "positive"
         choices = f.metadata["choices"]
-        if choices is None and (kind, f.name) != ("llm", "model"):
+        if choices is None and (cls, f.name) != (LlmParams, "model"):
             choices = _CATALOG_CHOICES.get(f.name)
         if scalar not in (int, float, str, bool):
-            if choices is None:
-                continue
             scalar = str
         if scalar is bool:
             kwargs = {"action": argparse.BooleanOptionalAction}
         else:
-            kwargs = {"type": _zero_is_none(scalar) if optional else scalar,
-                      "choices": choices}
+            kwargs = {"type": _zero_is_none(scalar) if zero_is_none
+                      else scalar, "choices": choices}
         action = parser.add_argument("--" + f.name.replace("_", "-"),
                                      default=f.default,
                                      help=f.metadata["help"], **kwargs)
         if "%(default)" not in action.help:  # 3.10 adds it for bools
-            note = "0 for None; " if optional else ""
+            note = "0 for None; " if zero_is_none else ""
             action.help += f" ({note}default: %(default)s)"
 
 
@@ -154,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
         else:  # closed-loop HP training raises SM_THRESHOLD (§5.1.1)
             p.add_argument("--sm-threshold", type=int, default=None,
                            help="override SM_THRESHOLD (orion only)")
-        _add_knob_flags(p, "experiment")
+        _add_knob_flags(p, PARAM_TYPES["experiment"])
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of a table")
 
     p = sub.add_parser("faults",
                        help="fault-injection demo: kill clients mid-run, "
                             "print the error/availability ledger")
-    _add_knob_flags(p, "faults")
+    _add_knob_flags(p, PARAM_TYPES["faults"])
     p.add_argument("--kill", default=None,
                    help="client to kill (hp, be-0, be-1, ...); 'none' "
                         "disables the kill (default: the scenario's plan, "
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fleet",
                        help="multi-GPU resilience demo: crash/degrade GPUs "
                             "mid-run, print the availability report")
-    _add_knob_flags(p, "fleet")
+    _add_knob_flags(p, PARAM_TYPES["fleet"])
     p.add_argument("--json", action="store_true",
                    help="emit the availability report JSON")
     p.add_argument("--report-out", default=None,
@@ -186,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overload",
                        help="overload-protection demo: drive the service "
                             "past capacity, print latency/shed/guard stats")
-    _add_knob_flags(p, "overload")
+    _add_knob_flags(p, PARAM_TYPES["overload"])
     p.add_argument("--json", action="store_true",
                    help="emit JSON (including the canonical ledger)")
 
     p = sub.add_parser("llm",
                        help="continuous-batching LLM serving demo: "
                             "TTFT/TPOT/tokens-per-sec under collocation")
-    _add_knob_flags(p, "llm")
+    _add_knob_flags(p, PARAM_TYPES["llm"])
     p.add_argument("--json", action="store_true",
                    help="emit the canonical scenario JSON")
 
@@ -255,47 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP bind host (with --port)")
     p.add_argument("--port", type=int, default=None,
                    help="TCP port (0 = ephemeral); overrides --socket")
-    p.add_argument("--workers", type=int, default=2,
-                   help="job worker processes (default 2)")
-    p.add_argument("--max-pending", type=int, default=16,
-                   help="bounded pending-queue depth; submissions past "
-                        "it are rejected (default 16)")
-    p.add_argument("--pace", type=float, default=0.0,
-                   help="wall-clock pacing: simulated seconds per wall "
-                        "second (0 = run flat out)")
-    p.add_argument("--history-out", default=None, metavar="PATH",
-                   help="write the JSON job history here on shutdown")
-    p.add_argument("--telemetry-interval", type=float, default=1.0,
-                   help="seconds between telemetry ring snapshots "
-                        "(default 1.0; 0 disables the ticker)")
-    p.add_argument("--drain-timeout", type=float, default=None,
-                   help="max seconds to wait for running jobs on "
-                        "shutdown before aborting them (default: wait)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="write-ahead job journal; enables crash "
-                        "recovery and restart-safe idempotency keys")
-    p.add_argument("--recover", choices=("requeue", "fail"),
-                   default="requeue",
-                   help="policy for jobs caught DISPATCHED/RUNNING by "
-                        "a crash: re-run deterministically (requeue, "
-                        "default) or terminate INTERRUPTED (fail)")
-    p.add_argument("--fsync-batch", type=int, default=8,
-                   help="journal group-commit size: fsync every N "
-                        "records (durable records always sync; "
-                        "default 8)")
-    p.add_argument("--snapshot-every", type=int, default=256,
-                   help="compact the journal into a snapshot every N "
-                        "records (default 256)")
-    p.add_argument("--hang-timeout", type=float, default=30.0,
-                   help="seconds without a heartbeat before a running "
-                        "job's worker process is killed and the job "
-                        "retried (0 disables; default 30)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="re-run budget for hung/crashed jobs before "
-                        "FAILED (default 2)")
-    p.add_argument("--retry-backoff", type=float, default=0.25,
-                   help="base of the exponential requeue backoff in "
-                        "seconds (default 0.25)")
+    _add_knob_flags(p, ServeConfig)
 
     def add_address(p):
         p.add_argument("--address", default=None,
@@ -636,22 +598,14 @@ def _serve_address(args) -> str:
 def _run_serve(args) -> int:
     import logging
 
-    from repro.serve import ServeConfig, ServeServer
+    from repro.serve import ServeServer
 
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
-    config = ServeConfig(address=_serve_address(args), workers=args.workers,
-                         max_pending=args.max_pending, pace=args.pace,
-                         history_path=args.history_out,
-                         telemetry_interval=args.telemetry_interval,
-                         drain_timeout=args.drain_timeout,
-                         journal_path=args.journal,
-                         recover=args.recover,
-                         fsync_batch=args.fsync_batch,
-                         snapshot_every=args.snapshot_every,
-                         hang_timeout=args.hang_timeout,
-                         max_retries=args.max_retries,
-                         retry_backoff=args.retry_backoff)
+    config = ServeConfig(address=_serve_address(args),
+                         **{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(ServeConfig)
+                            if f.metadata["help"] is not None})
     server = ServeServer(config)
     print(f"listening on {server.start()}", flush=True)
     return server.serve_forever()

@@ -16,7 +16,6 @@ from .migration import (
     InterferenceTracker,
     MigrationController,
     MigrationCostModel,
-    MigrationPolicy,
 )
 from .placement import (
     JobSignature,
@@ -43,7 +42,6 @@ __all__ = [
     "InterferenceTracker",
     "MigrationController",
     "MigrationCostModel",
-    "MigrationPolicy",
     "Fleet",
     "FleetGpu",
     "FleetJob",

@@ -1094,17 +1094,8 @@ def _run_fleet_scenario(params: FleetParams, testbed: Testbed) -> FleetResult:
     )
     controller = None
     if params.rebalance:
-        from repro.cluster.migration import (MigrationController,
-                                             MigrationPolicy)
-        controller = MigrationController(fleet, MigrationPolicy(
-            interval=params.rebalance_interval,
-            cooldown=params.migration_cooldown,
-            max_inflight=params.max_inflight_migrations,
-            min_gain=params.migration_min_gain,
-            cost_weight=params.migration_cost_weight,
-            measure_window=params.measure_window,
-            measure_min_samples=params.measure_min_samples,
-        ))
+        from repro.cluster.migration import MigrationController
+        controller = MigrationController(fleet, params)
     fleet.start(duration)
     if controller is not None:
         controller.start(duration)

@@ -47,12 +47,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.experiments.params import FleetParams
 from repro.sim.process import Signal, Timeout, spawn
 
 from .placement import MoveProposal, pair_interference, replan_placement
 
 __all__ = [
-    "MigrationPolicy",
     "MigrationCostModel",
     "InterferenceTracker",
     "MigrationRecord",
@@ -64,41 +64,6 @@ _ROUND = 9
 
 def _r(x: float) -> float:
     return round(float(x), _ROUND)
-
-
-@dataclass(frozen=True)
-class MigrationPolicy:
-    """Hysteresis and measurement knobs for the controller.
-
-    ``interval`` is the re-plan period; ``cooldown`` the per-tenant
-    quiet time after a completed move; ``max_inflight`` caps concurrent
-    migrations fleet-wide; ``min_gain`` is the smallest predicted
-    interference reduction worth considering; ``cost_weight`` scales
-    the drain+re-warm cost against the gain integrated over the
-    remaining horizon.  ``measure_window``/``measure_min_samples``
-    bound the per-pair measured-interference window and how many
-    samples it needs before measurements override predictions.
-    """
-
-    interval: float = 0.02
-    cooldown: float = 0.04
-    max_inflight: int = 1
-    min_gain: float = 0.05
-    cost_weight: float = 1.0
-    measure_window: int = 32
-    measure_min_samples: int = 8
-
-    def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("interval must be > 0")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
-        if self.measure_window < 1 or self.measure_min_samples < 1:
-            raise ValueError("measurement knobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,12 +169,21 @@ class MigrationController:
     """Periodically re-plans placement and executes safe tenant moves.
 
     Attach to a single-home fleet (``fleet.assignment`` must be set);
-    :meth:`start` spawns the tick loop.  All decisions and transitions
+    :meth:`start` spawns the tick loop.  Its knobs are the fleet
+    scenario's own :class:`~repro.experiments.params.FleetParams`
+    fields: ``rebalance_interval`` is the re-plan period,
+    ``migration_cooldown`` the per-tenant quiet time after a completed
+    move, ``max_inflight_migrations`` the fleet-wide cap on concurrent
+    moves, ``migration_min_gain`` the smallest predicted interference
+    reduction worth considering and ``migration_cost_weight`` scales the
+    drain+re-warm cost against the gain integrated over the remaining
+    horizon; ``measure_window``/``measure_min_samples`` bound the
+    measured-interference window.  All decisions and transitions
     are deterministic and recorded — :meth:`digest_lines` feeds the
     routing digest, :meth:`migration_report` the availability report.
     """
 
-    def __init__(self, fleet, policy: Optional[MigrationPolicy] = None,
+    def __init__(self, fleet, params: Optional[FleetParams] = None,
                  cost_model: Optional[MigrationCostModel] = None):
         if fleet.assignment is None:
             raise ValueError(
@@ -217,11 +191,11 @@ class MigrationController:
                 "(placement='plan'/'adversarial' at the scenario layer)")
         self.fleet = fleet
         self.sim = fleet.sim
-        self.policy = policy or MigrationPolicy()
+        self.params = params or FleetParams()
         self.cost_model = cost_model or MigrationCostModel()
         self.tracker = InterferenceTracker(
-            window=self.policy.measure_window,
-            min_samples=self.policy.measure_min_samples)
+            window=self.params.measure_window,
+            min_samples=self.params.measure_min_samples)
         self.horizon: Optional[float] = None
         self.records: List[MigrationRecord] = []
         self._inflight: Dict[str, MigrationRecord] = {}
@@ -258,7 +232,7 @@ class MigrationController:
 
     def _tick_loop(self, horizon: float):
         while True:
-            yield Timeout(self.policy.interval)
+            yield Timeout(self.params.rebalance_interval)
             if self.sim.now >= horizon:
                 return
             self.ticks += 1
@@ -268,13 +242,13 @@ class MigrationController:
         now = self.sim.now
         pinned = set(self._inflight)
         for tenant, t in self._last_move.items():
-            if now - t < self.policy.cooldown:
+            if now - t < self.params.migration_cooldown:
                 pinned.add(tenant)
         return pinned
 
     def _tick(self) -> None:
         fleet = self.fleet
-        budget = self.policy.max_inflight - len(self._inflight)
+        budget = self.params.max_inflight_migrations - len(self._inflight)
         if budget <= 0:
             return
         allowed = {g.index for g in fleet.gpus if g.state == "up"}
@@ -284,12 +258,12 @@ class MigrationController:
             fleet.assignment, fleet.num_gpus, self.pair,
             max_per_gpu=fleet.max_tenants_per_gpu,
             pinned=self._pinned(),
-            min_gain=self.policy.min_gain,
+            min_gain=self.params.migration_min_gain,
             max_moves=budget,
             allowed_gpus=allowed,
         )
         for proposal in proposals:
-            if len(self._inflight) >= self.policy.max_inflight:
+            if len(self._inflight) >= self.params.max_inflight_migrations:
                 break
             self._maybe_execute(proposal)
 
@@ -310,8 +284,8 @@ class MigrationController:
             queued, fleet.solo_latency[spec.model],
             fleet.plans[spec.model].state_bytes)
         remaining = ((self.horizon - self.sim.now)
-                     if self.horizon is not None else self.policy.interval)
-        if proposal.gain * remaining <= self.policy.cost_weight * cost:
+                     if self.horizon is not None else self.params.rebalance_interval)
+        if proposal.gain * remaining <= self.params.migration_cost_weight * cost:
             self.rejected_by_cost += 1
             if fleet.tracer.enabled:
                 fleet.tracer.instant(

@@ -1,11 +1,7 @@
 """Orion: the interference-aware, fine-grained GPU scheduler (paper §5)."""
 
 from .control import Controller, DurThresholdGuard, SmThresholdSearch
-from .policy import (
-    DEFAULT_DUR_THRESHOLD_FRAC,
-    PolicyConfig,
-    have_different_profiles,
-)
+from .policy import DEFAULT_DUR_THRESHOLD_FRAC, have_different_profiles
 from .scheduler import (
     ORION_INTERCEPTION_OVERHEAD,
     OVERLOAD_POLICIES,
@@ -20,7 +16,6 @@ __all__ = [
     "Controller",
     "DurThresholdGuard",
     "ORION_INTERCEPTION_OVERHEAD",
-    "PolicyConfig",
     "have_different_profiles",
     "DEFAULT_DUR_THRESHOLD_FRAC",
     "SmThresholdSearch",

@@ -163,8 +163,9 @@ class DurThresholdGuard:
 
     ``slo`` is the HP latency target in seconds for the windowed
     ``quantile``; the window itself lives on the backend
-    (``OrionConfig.hp_window``).  Records carry the SLO, the new
-    ``dur_threshold_frac`` and whether admission is suspended.
+    (``OrionBackend.hp_latency_window``, ``HP_WINDOW`` long).  Records
+    carry the SLO, the new ``dur_threshold_frac`` and whether admission
+    is suspended.
     """
 
     slo: float

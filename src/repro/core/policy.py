@@ -2,8 +2,8 @@
 
 The rules are applied by ``OrionBackend._try_launch_be``, the one
 implementation of Listing 1's ``schedule_be`` and duration throttle;
-:class:`PolicyConfig` holds their thresholds and the Figure-14 ablation
-switches that turn each rule off:
+:class:`~repro.core.scheduler.OrionConfig` holds their thresholds and
+the Figure-14 ablation switches that turn each rule off:
 
 * profile rule  — a best-effort kernel may co-run only if its
   compute/memory profile differs from the current high-priority
@@ -17,35 +17,12 @@ switches that turn each rule off:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.kernels.kernel import ResourceProfile
 
-__all__ = ["PolicyConfig", "have_different_profiles"]
+__all__ = ["DEFAULT_DUR_THRESHOLD_FRAC", "have_different_profiles"]
 
 # Paper default: 2.5% of the high-priority request latency (§6.4).
 DEFAULT_DUR_THRESHOLD_FRAC = 0.025
-
-
-@dataclass
-class PolicyConfig:
-    """Tunables and ablation switches of the Orion policy."""
-
-    # None -> use the device's total SM count (paper default).
-    sm_threshold: Optional[int] = None
-    dur_threshold_frac: float = DEFAULT_DUR_THRESHOLD_FRAC
-    # Ablation switches (Figure 14).
-    use_profiles: bool = True
-    use_sm_limit: bool = True
-    use_dur_throttle: bool = True
-    use_stream_priorities: bool = True
-
-    def __post_init__(self):
-        if self.sm_threshold is not None and self.sm_threshold < 0:
-            raise ValueError("sm_threshold must be >= 0")
-        if not (0 < self.dur_threshold_frac <= 1):
-            raise ValueError("dur_threshold_frac must be in (0, 1]")
 
 
 def have_different_profiles(hp: ResourceProfile, be: ResourceProfile) -> bool:

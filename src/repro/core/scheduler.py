@@ -22,6 +22,7 @@ profiling phase (§5.2), not simulator ground truth.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.gpu.cuda_events import CudaEvent
@@ -40,13 +41,18 @@ from repro.runtime.backend import (
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal, Timeout, spawn
 
-from .policy import PolicyConfig, have_different_profiles
+from .policy import DEFAULT_DUR_THRESHOLD_FRAC, have_different_profiles
 
 __all__ = ["OrionBackend", "OrionConfig", "OVERLOAD_POLICIES"]
 
 # HP request latency assumed before the first profile/measurement lands
 # (OrionConfig.fallback_hp_latency overrides; kept as the default).
 _FALLBACK_HP_LATENCY = 10e-3
+# Polling period of the best-effort watchdog, in simulated seconds.
+WATCHDOG_INTERVAL = 1e-3
+# Observed HP request latencies kept for the SLO guard
+# (:class:`~repro.core.control.DurThresholdGuard`).
+HP_WINDOW = 128
 # Per-op interception cost of Orion's wrappers (<1% overhead, §6.5).
 ORION_INTERCEPTION_OVERHEAD = 0.4e-6
 
@@ -54,8 +60,18 @@ ORION_INTERCEPTION_OVERHEAD = 0.4e-6
 OVERLOAD_POLICIES = ("block", "reject")
 
 
-class OrionConfig(PolicyConfig):
-    """Policy config plus scheduler-level settings.
+@dataclass
+class OrionConfig:
+    """Every tunable of the Orion scheduler, declared once.
+
+    ``sm_threshold`` (None = the device's SM count) and
+    ``dur_threshold_frac`` are Listing 1's SM_THRESHOLD and
+    DUR_THRESHOLD (§5.1, §6.4); the four ``use_*`` switches are the
+    Figure-14 ablations that turn off the profile rule, the SM rule,
+    the duration throttle and the high-priority stream priority.
+    ``hp_request_latency`` is the profiled HP request latency the
+    duration budget scales (None = measured, starting from
+    ``fallback_hp_latency``).
 
     ``manage_pcie`` enables the §5.1.3 extension: best-effort
     host<->device copies are held in the software queue while a
@@ -65,7 +81,6 @@ class OrionConfig(PolicyConfig):
     ``watchdog_multiple`` (off when None) arms a watchdog that flags a
     best-effort kernel whose completion is overdue by that multiple of
     its profiled duration; flags are surfaced in backend telemetry.
-    ``watchdog_interval`` is the watchdog's polling period in seconds.
 
     Overload protection (DESIGN.md §6.2): ``be_queue_depth`` bounds
     each best-effort software queue (None = unbounded, the paper's
@@ -74,10 +89,6 @@ class OrionConfig(PolicyConfig):
     half its depth ("block", the default) or rejects the op
     with a retryable ``QUEUE_FULL`` status ("reject"), for every
     best-effort client alike.
-    ``fallback_hp_latency`` is the HP request latency assumed before
-    any profile or measurement lands.  ``hp_window`` sizes the rolling
-    window of observed HP request latencies the SLO guard
-    (:class:`~repro.core.control.DurThresholdGuard`) watches.
 
     ``protect_prefill`` (phase-aware scheduling, §7 extension): while
     the high-priority client has declared a ``"prefill"`` phase via
@@ -89,38 +100,34 @@ class OrionConfig(PolicyConfig):
     Inert for workloads that never declare a prefill phase.
     """
 
-    def __init__(self, hp_request_latency: Optional[float] = None,
-                 manage_pcie: bool = False,
-                 watchdog_multiple: Optional[float] = None,
-                 watchdog_interval: float = 1e-3,
-                 fallback_hp_latency: float = _FALLBACK_HP_LATENCY,
-                 be_queue_depth: Optional[int] = None,
-                 overload_policy: str = "block",
-                 protect_prefill: bool = True,
-                 hp_window: int = 128, **kwargs):
-        super().__init__(**kwargs)
-        if watchdog_multiple is not None and watchdog_multiple <= 0:
-            raise ValueError("watchdog_multiple must be positive")
-        if watchdog_interval <= 0:
-            raise ValueError("watchdog_interval must be positive")
-        if fallback_hp_latency <= 0:
-            raise ValueError("fallback_hp_latency must be positive")
-        if be_queue_depth is not None and be_queue_depth < 1:
-            raise ValueError("be_queue_depth must be >= 1")
-        if overload_policy not in OVERLOAD_POLICIES:
+    sm_threshold: Optional[int] = None
+    dur_threshold_frac: float = DEFAULT_DUR_THRESHOLD_FRAC
+    use_profiles: bool = True
+    use_sm_limit: bool = True
+    use_dur_throttle: bool = True
+    use_stream_priorities: bool = True
+    hp_request_latency: Optional[float] = None
+    manage_pcie: bool = False
+    watchdog_multiple: Optional[float] = None
+    fallback_hp_latency: float = _FALLBACK_HP_LATENCY
+    be_queue_depth: Optional[int] = None
+    overload_policy: str = "block"
+    protect_prefill: bool = True
+
+    def __post_init__(self):
+        if self.sm_threshold is not None and self.sm_threshold < 0:
+            raise ValueError("sm_threshold must be >= 0")
+        if not 0 < self.dur_threshold_frac <= 1:
+            raise ValueError("dur_threshold_frac must be in (0, 1]")
+        for name in ("hp_request_latency", "watchdog_multiple",
+                     "fallback_hp_latency", "be_queue_depth"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(f"overload_policy must be one of "
-                             f"{OVERLOAD_POLICIES}, got {overload_policy!r}")
-        if hp_window < 1:
-            raise ValueError("hp_window must be >= 1")
-        self.hp_request_latency = hp_request_latency
-        self.manage_pcie = manage_pcie
-        self.watchdog_multiple = watchdog_multiple
-        self.watchdog_interval = watchdog_interval
-        self.fallback_hp_latency = fallback_hp_latency
-        self.be_queue_depth = be_queue_depth
-        self.overload_policy = overload_policy
-        self.protect_prefill = protect_prefill
-        self.hp_window = hp_window
+                             f"{OVERLOAD_POLICIES}, got "
+                             f"{self.overload_policy!r}")
 
 
 class _BeClientState(BeClientState):
@@ -167,7 +174,7 @@ class OrionBackend(Backend):
         # Rolling window of observed HP request latencies, watched by
         # the adaptive SLO guard (repro.core.control).
         self.hp_latency_window: Deque[float] = deque(
-            maxlen=self.config.hp_window)
+            maxlen=HP_WINDOW)
         # Overload state: while suspended, no best-effort kernel is
         # admitted at all (the SLO guard's emergency brake).
         self.be_admission_suspended = False
@@ -451,7 +458,7 @@ class OrionBackend(Backend):
                 self._watchdog_wake = Signal(self.sim)
                 yield self._watchdog_wake
                 continue
-            yield Timeout(self.config.watchdog_interval)
+            yield Timeout(WATCHDOG_INTERVAL)
             now = self.sim.now
             for client_id, state in self._be.items():
                 in_flight = state.stream.in_flight

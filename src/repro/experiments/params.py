@@ -147,6 +147,14 @@ class ExperimentParams(_ParamsBase):
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
         super().__post_init__()
+        if self.orion is not None:
+            # Lazy: the scheduler is only imported when a scenario
+            # actually overrides its config.
+            from repro.core.scheduler import OrionConfig
+
+            check_keys("orion", self.orion,
+                       (f.name for f in fields(OrionConfig)))
+            OrionConfig(**self.orion)
         if not self.jobs:
             raise ValueError("experiment needs at least one job")
         if not all(isinstance(job, JobSpec) for job in self.jobs):
@@ -265,7 +273,7 @@ class FleetParams(_ParamsBase):
     migration_cooldown: float = knob(
         0.04, "per-tenant quiet time after a move", check="non_negative")
     max_inflight_migrations: int = knob(1, "concurrent migrations cap",
-                                        check="non_negative")
+                                        check="positive")
     migration_min_gain: float = knob(
         0.05, "minimum predicted interference gain to consider a move",
         check="non_negative")

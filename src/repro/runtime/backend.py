@@ -77,26 +77,21 @@ class SoftwareQueue:
     checks :attr:`full` and applies its per-client policy (reject with
     ``QUEUE_FULL``, or block the client on :meth:`wait_for_room`).
     Room waiters are released with hysteresis: only once the depth
-    drains back to ``high_water`` (default half of ``max_depth``), so a
+    drains back to ``high_water`` (half of ``max_depth``), so a
     blocked client does not thrash on every single pop.
     """
 
     def __init__(self, sim: Simulator, client_id: str,
                  max_depth: Optional[int] = None,
-                 high_water: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer=NULL_TRACER):
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if high_water is None and max_depth is not None:
-            high_water = max(1, max_depth // 2)
-        if high_water is not None and max_depth is not None \
-                and not 0 < high_water <= max_depth:
-            raise ValueError("high_water must be in (0, max_depth]")
         self.sim = sim
         self.client_id = client_id
         self.max_depth = max_depth
-        self.high_water = high_water
+        self.high_water = None if max_depth is None \
+            else max(1, max_depth // 2)
         self.tracer = tracer
         self._items: Deque[tuple[Op, Signal]] = deque()
         # Depth/admit/reject accounting lives on MetricsRegistry
@@ -192,8 +187,7 @@ class SoftwareQueue:
     def _release_room(self) -> None:
         if not self._room_waiters:
             return
-        threshold = self.high_water if self.high_water is not None else 0
-        if self.max_depth is None or len(self._items) <= threshold:
+        if self.max_depth is None or len(self._items) <= self.high_water:
             waiters, self._room_waiters = self._room_waiters, []
             for waiter in waiters:
                 waiter.trigger()

@@ -23,7 +23,7 @@ worker:
   verb both funnel into the idempotent :meth:`ServeServer.shutdown`).
 
 Durability (:mod:`repro.serve.journal`, DESIGN.md §6.8): with
-``journal_path`` set, every submit is journaled *before* it is
+``journal`` set, every submit is journaled *before* it is
 acknowledged and every transition/result before it is observable, so a
 crash — including ``kill -9`` — loses nothing.  On startup the daemon
 replays the journal: completed results come back byte-for-byte, queued
@@ -57,6 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.experiments.params import _ParamsBase, knob
 from repro.experiments.registry import make_scenario, scenario_catalog
 from repro.experiments.scenario import Scenario, run as run_scenario
 from repro.sim.engine import RunAborted, set_abort_check
@@ -93,9 +94,11 @@ log = logging.getLogger("repro.serve")
 RECOVER_POLICIES = ("requeue", "fail")
 
 
-@dataclass
-class ServeConfig:
-    """Daemon knobs (all surfaced as ``repro serve`` flags).
+@dataclass(frozen=True)
+class ServeConfig(_ParamsBase):
+    """Daemon knobs, each declared once with :func:`knob`: ``repro
+    serve`` generates one flag per field that has help text (all but
+    ``address``, which ``--socket``/``--host``/``--port`` compose).
 
     ``pace`` throttles execution toward wall-clock time: with
     ``pace=N``, each job occupies its worker for at least
@@ -104,7 +107,7 @@ class ServeConfig:
     admission-only daemon — jobs queue but never dispatch — which is
     how the queue/cancel/reject paths are tested deterministically.
 
-    ``journal_path`` enables the write-ahead job journal (crash
+    ``journal`` enables the write-ahead job journal (crash
     recovery + idempotency across restarts); ``recover`` picks the
     policy for jobs caught mid-flight by a crash.  ``hang_timeout``
     (0 disables) is how long a running job's worker process may go
@@ -113,36 +116,44 @@ class ServeConfig:
     exponential backoff from ``retry_backoff`` seconds.
     """
 
-    address: str = DEFAULT_ADDRESS
-    workers: int = 2
-    max_pending: int = 16
-    pace: float = 0.0
-    history_path: Optional[str] = None
-    telemetry_interval: float = 1.0
-    drain_timeout: Optional[float] = None
-    journal_path: Optional[str] = None
-    recover: str = "requeue"
-    fsync_batch: int = 8
-    snapshot_every: int = 256
-    hang_timeout: float = 30.0
-    max_retries: int = 2
-    retry_backoff: float = 0.25
-
-    def __post_init__(self):
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.pace < 0:
-            raise ValueError("pace must be >= 0")
-        if self.recover not in RECOVER_POLICIES:
-            raise ValueError(
-                f"recover must be one of {RECOVER_POLICIES}, "
-                f"not {self.recover!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if self.drain_timeout is not None and self.drain_timeout < 0:
-            raise ValueError("drain_timeout must be >= 0")
+    address: str = knob(DEFAULT_ADDRESS)
+    workers: int = knob(2, "job worker processes", check="non_negative")
+    max_pending: int = knob(
+        16, "bounded pending-queue depth; submissions past it are "
+        "rejected", check="non_negative")
+    pace: float = knob(0.0, "wall-clock pacing: simulated seconds per "
+                       "wall second (0 = run flat out)",
+                       check="non_negative")
+    history_out: Optional[str] = knob(
+        None, "write the JSON job history to this path on shutdown")
+    telemetry_interval: float = knob(
+        1.0, "seconds between telemetry ring snapshots (0 disables the "
+        "ticker)", check="non_negative")
+    drain_timeout: Optional[float] = knob(
+        None, "max seconds to wait for running jobs on shutdown before "
+        "aborting them (None = wait)", check="non_negative")
+    journal: Optional[str] = knob(
+        None, "write-ahead job journal path; enables crash recovery and "
+        "restart-safe idempotency keys")
+    recover: str = knob(
+        "requeue", "policy for jobs caught DISPATCHED/RUNNING by a crash: "
+        "re-run deterministically (requeue) or terminate INTERRUPTED "
+        "(fail)", choices=RECOVER_POLICIES)
+    fsync_batch: int = knob(
+        8, "journal group-commit size: fsync every N records (durable "
+        "records always sync)", check="positive")
+    snapshot_every: int = knob(
+        256, "compact the journal into a snapshot every N records",
+        check="positive")
+    hang_timeout: float = knob(
+        30.0, "seconds without a heartbeat before a running job's worker "
+        "process is killed and the job retried (0 disables)",
+        check="non_negative")
+    max_retries: int = knob(2, "re-run budget for hung/crashed jobs "
+                            "before FAILED", check="non_negative")
+    retry_backoff: float = knob(
+        0.25, "base of the exponential requeue backoff in seconds",
+        check="non_negative")
 
     def backoff_for(self, attempt: int) -> float:
         """Exponential backoff before re-dispatching attempt N+1."""
@@ -196,7 +207,7 @@ class ServeServer:
         self._listener.settimeout(0.2)
         self._started_monotonic = time.monotonic()
         self._started_unix = time.time()
-        if self.config.journal_path:
+        if self.config.journal:
             self._recover_from_journal()
         accept = threading.Thread(target=self._accept_loop,
                                   name="serve-accept", daemon=True)
@@ -216,7 +227,7 @@ class ServeServer:
             self._threads.append(ticker)
         log.info("serving on %s (%d workers, max_pending=%d, journal=%s)",
                  self.address, self.config.workers, self.config.max_pending,
-                 self.config.journal_path or "off")
+                 self.config.journal or "off")
         return self.address
 
     def serve_forever(self) -> int:
@@ -385,7 +396,7 @@ class ServeServer:
             self._journal.write_snapshot(self._journal_state(), floor=floor)
 
     def _recover_from_journal(self) -> None:
-        path = self.config.journal_path
+        path = self.config.journal
         snapshot, records, last_seq = JobJournal.load(path)
         self._journal = JobJournal(path,
                                    fsync_batch=self.config.fsync_batch,
@@ -837,34 +848,38 @@ class ServeServer:
 
     def _retry(self, job: Job, reason: str) -> None:
         """The job's worker process hung (and was killed) or died:
-        requeue the job behind its backoff, or fail it past its
-        retries with a structured ``reason``."""
+        cancel the job if a client asked to, else requeue it behind its
+        backoff, or fail it past its retries with a structured
+        ``reason``."""
         with self._lock:
             self._running_ids.discard(job.job_id)
             clock = self._clock()
-            if job.attempt > self.config.max_retries:
-                error = json.dumps({"reason": reason,
-                                    "attempts": job.attempt,
-                                    "hang_timeout": self.config.hang_timeout,
-                                    "max_retries": self.config.max_retries},
-                                   sort_keys=True)
-                if job.try_transition(FAILED, clock=clock, error=error):
-                    self._journal_transition(job, FAILED, clock,
+            if job.cancel_requested:
+                final, error = CANCELED, "canceled while running"
+            elif job.attempt > self.config.max_retries:
+                final, error = FAILED, json.dumps(
+                    {"reason": reason, "attempts": job.attempt,
+                     "hang_timeout": self.config.hang_timeout,
+                     "max_retries": self.config.max_retries},
+                    sort_keys=True)
+            else:
+                delay = self.config.backoff_for(job.attempt)
+                job.attempt += 1
+                if job.try_transition(QUEUED, clock=clock):
+                    self._counters["requeued"] += 1
+                    self._journal_transition(job, QUEUED, clock,
                                              durable=True)
-                self._finalize(job)
+                    self._queue.push(job, force=True, delay=delay)
                 return
-            delay = self.config.backoff_for(job.attempt)
-            job.attempt += 1
-            if job.try_transition(QUEUED, clock=clock):
-                self._counters["requeued"] += 1
-                self._journal_transition(job, QUEUED, clock, durable=True)
-                self._queue.push(job, force=True, delay=delay)
+            if job.try_transition(final, clock=clock, error=error):
+                self._journal_transition(job, final, clock, durable=True)
+            self._finalize(job)
 
     # ------------------------------------------------------------------
     # History persistence
 
     def _write_history(self) -> None:
-        if not self.config.history_path:
+        if not self.config.history_out:
             return
         with self._lock:
             payload = {
@@ -874,7 +889,7 @@ class ServeServer:
                     "workers": self.config.workers,
                     "max_pending": self.config.max_pending,
                     "pace": self.config.pace,
-                    "journal": self.config.journal_path,
+                    "journal": self.config.journal,
                     "recover": self.config.recover,
                 },
                 "counters": dict(self._counters),
@@ -882,9 +897,9 @@ class ServeServer:
                          for job_id in self._history
                          if job_id in self._jobs],
             }
-        atomic_write_json(self.config.history_path, payload)
+        atomic_write_json(self.config.history_out, payload)
         log.info("wrote job history to %s (%d jobs)",
-                 self.config.history_path, len(payload["jobs"]))
+                 self.config.history_out, len(payload["jobs"]))
 
 
 # ---------------------------------------------------------------------------

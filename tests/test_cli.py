@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.params import PARAM_TYPES
+from repro.experiments.registry import make_scenario
+from repro.serve import ServeConfig
 
 
 def test_parser_requires_command():
@@ -163,6 +168,52 @@ def test_optional_knob_flags_take_zero_as_none():
     assert params["deadline_mult"] is None
     assert params["queue_depth"] is None
     assert params["guard"] is False
+
+
+KNOB_SURFACES = [("inf-train", PARAM_TYPES["experiment"]),
+                 ("faults", PARAM_TYPES["faults"]),
+                 ("fleet", PARAM_TYPES["fleet"]),
+                 ("overload", PARAM_TYPES["overload"]),
+                 ("llm", PARAM_TYPES["llm"]),
+                 ("serve", ServeConfig)]
+
+
+@pytest.mark.parametrize("command, cls", KNOB_SURFACES,
+                         ids=[command for command, _ in KNOB_SURFACES])
+def test_every_knob_has_exactly_one_generated_flag(command, cls):
+    """A knob is declared once: each field with help text has exactly
+    one flag, whose default is the field's; fields without help text
+    have none."""
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    parser = subparsers.choices[command]
+    for f in dataclasses.fields(cls):
+        flags = [action for action in parser._actions
+                 if action.dest == f.name]
+        if f.metadata["help"] is None:
+            assert not flags, f"{f.name} has no help text but a flag"
+            continue
+        assert len(flags) == 1, f"{f.name}: {len(flags)} flags"
+        assert flags[0].option_strings[0] == "--" + f.name.replace("_", "-")
+        assert flags[0].default == f.default, f.name
+
+
+def test_bad_knobs_fail_at_construction(tmp_path):
+    with pytest.raises(ValueError, match="max_inflight_migrations"):
+        make_scenario("fleet_rebalance", max_inflight_migrations=0)
+    # The error names the valid OrionConfig keys.
+    with pytest.raises(ValueError, match="bogus_knob.*sm_threshold"):
+        make_scenario("inf-train", orion={"bogus_knob": 1})
+    with pytest.raises(ValueError, match="fsync_batch"):
+        ServeConfig(journal=str(tmp_path / "wal.ndjson"), fsync_batch=0)
+
+
+def test_serve_rejects_bad_knob_before_binding(tmp_path):
+    sock = tmp_path / "serve.sock"
+    with pytest.raises(ValueError, match="fsync_batch"):
+        main(["serve", "--socket", str(sock), "--fsync-batch", "0",
+              "--journal", str(tmp_path / "wal.ndjson")])
+    assert not sock.exists()
 
 
 def test_fleet_cli_rebalance_help_lists_flags(capsys):

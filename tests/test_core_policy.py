@@ -9,11 +9,7 @@ the backend: was the kernel admitted to its stream or left queued?
 
 import pytest
 
-from repro.core.policy import (
-    DEFAULT_DUR_THRESHOLD_FRAC,
-    PolicyConfig,
-    have_different_profiles,
-)
+from repro.core.policy import DEFAULT_DUR_THRESHOLD_FRAC, have_different_profiles
 from repro.core.scheduler import OrionBackend, OrionConfig
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
@@ -176,8 +172,8 @@ def test_long_be_kernel_deferred_only_while_hp_running():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PolicyConfig(sm_threshold=-1)
+        OrionConfig(sm_threshold=-1)
     with pytest.raises(ValueError):
-        PolicyConfig(dur_threshold_frac=0.0)
+        OrionConfig(dur_threshold_frac=0.0)
     with pytest.raises(ValueError):
-        PolicyConfig(dur_threshold_frac=1.5)
+        OrionConfig(dur_threshold_frac=1.5)

@@ -235,8 +235,7 @@ def test_watchdog_flags_overdue_be_kernels():
     kernels running far beyond their expected duration."""
     sim = Simulator()
     slow = make_kernel(memory_spec("be-slow", duration=4e-3))
-    config = OrionConfig(hp_request_latency=10e-3,
-                         watchdog_multiple=3.0, watchdog_interval=1e-4)
+    config = OrionConfig(hp_request_latency=10e-3, watchdog_multiple=3.0)
     device = GpuDevice(sim, V100_16GB)
     store = store_for(slow)
     # Profile now claims the kernel is 100x faster than it is.

@@ -7,8 +7,8 @@ from repro.cluster.migration import (
     InterferenceTracker,
     MigrationController,
     MigrationCostModel,
-    MigrationPolicy,
 )
+from repro.experiments.params import FleetParams
 from repro.experiments.runner import get_profile
 from repro.experiments.scenario import Scenario, run
 from repro.experiments.testbed import Testbed
@@ -49,15 +49,15 @@ def accounted(result):
 
 def test_migration_policy_validation():
     with pytest.raises(ValueError):
-        MigrationPolicy(interval=0.0)
+        FleetParams(rebalance_interval=0.0)
     with pytest.raises(ValueError):
-        MigrationPolicy(cooldown=-1.0)
+        FleetParams(migration_cooldown=-1.0)
     with pytest.raises(ValueError):
-        MigrationPolicy(max_inflight=0)
+        FleetParams(max_inflight_migrations=0)
     with pytest.raises(ValueError):
-        MigrationPolicy(min_gain=-0.1)
+        FleetParams(migration_min_gain=-0.1)
     with pytest.raises(ValueError):
-        MigrationPolicy(measure_window=0)
+        FleetParams(measure_window=0)
 
 
 def test_cost_model_components():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.scheduler import OrionBackend, OrionConfig
+from repro.core.scheduler import HP_WINDOW, OrionBackend, OrionConfig
 from repro.core.control import Controller, DurThresholdGuard
 from repro.gpu.device import GpuDevice
 from repro.gpu.errors import CudaError, CudaErrorCode
@@ -55,10 +55,6 @@ def test_queue_depth_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         SoftwareQueue(sim, "c", max_depth=0)
-    with pytest.raises(ValueError):
-        SoftwareQueue(sim, "c", max_depth=4, high_water=0)
-    with pytest.raises(ValueError):
-        SoftwareQueue(sim, "c", max_depth=4, high_water=5)
 
 
 def test_queue_high_water_defaults_to_half():
@@ -98,7 +94,7 @@ def test_wait_for_room_hysteresis():
     """A blocked waiter is released at the high-water mark, not on the
     first pop — the anti-thrash hysteresis."""
     sim = Simulator()
-    queue = SoftwareQueue(sim, "c", max_depth=4, high_water=2)
+    queue = SoftwareQueue(sim, "c", max_depth=4)  # high_water 2
     for _ in range(4):
         queue.push(make_kernel(compute_spec()))
     waiter = queue.wait_for_room()
@@ -221,8 +217,6 @@ def test_overload_config_validation():
     with pytest.raises(ValueError):
         OrionConfig(overload_policy="drop-newest")
     with pytest.raises(ValueError):
-        OrionConfig(hp_window=0)
-    with pytest.raises(ValueError):
         OrionConfig(fallback_hp_latency=0.0)
 
 
@@ -259,12 +253,12 @@ def test_hp_deadline_miss_counted():
 
 def test_hp_latency_window_bounded_and_cleared_on_deregister():
     sim = Simulator()
-    config = OrionConfig(hp_request_latency=10e-3, hp_window=4)
+    config = OrionConfig(hp_request_latency=10e-3)
     backend, _device, hp_ctx, _be = setup_backend(sim, config)
-    for _ in range(10):
+    for _ in range(HP_WINDOW + 6):
         backend.begin_request("hp")
         backend.end_request("hp")
-    assert len(backend.hp_latency_window) == 4
+    assert len(backend.hp_latency_window) == HP_WINDOW
     hp_ctx.close()
     assert len(backend.hp_latency_window) == 0
 

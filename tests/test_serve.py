@@ -766,7 +766,7 @@ class TestShutdown:
         history_path = tmp_path / "history.json"
         server = ServeServer(ServeConfig(
             address="tcp:127.0.0.1:0", workers=1, telemetry_interval=0,
-            history_path=str(history_path)))
+            history_out=str(history_path)))
         address = server.start()
         client = ServeClient(address)
         running = client.submit(name="faults", duration=0.3)

@@ -326,7 +326,7 @@ class TestDaemonRecovery:
             _submit_record("job-0003", priority=5),
         ])
         with serve_daemon(workers=0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             assert len(server._queue) == 3
             order = [server._queue.pop(timeout=0).job_id for _ in range(3)]
             assert order == ["job-0002", "job-0003", "job-0001"]
@@ -342,7 +342,7 @@ class TestDaemonRecovery:
             {"type": "transition", "job": "job-0001", "state": "RUNNING",
              "clock": 0.2, "error": None, "attempt": 1},
         ])
-        with serve_daemon(workers=1, journal_path=str(path),
+        with serve_daemon(workers=1, journal=str(path),
                           recover="requeue") as (server, address):
             with ServeClient(address) as client:
                 record = client.wait("job-0001", timeout=60)
@@ -361,7 +361,7 @@ class TestDaemonRecovery:
              "clock": 0.2, "error": None, "attempt": 1},
             _submit_record("job-0002"),
         ])
-        with serve_daemon(workers=0, journal_path=str(path),
+        with serve_daemon(workers=0, journal=str(path),
                           recover="fail") as (server, address):
             with ServeClient(address) as client:
                 record = client.status("job-0001")
@@ -377,13 +377,13 @@ class TestDaemonRecovery:
     def test_completed_results_restored_byte_for_byte(self, tmp_path):
         path = tmp_path / "wal.ndjson"
         with serve_daemon(workers=1,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 job = client.submit(name="faults", duration=0.05)
                 client.wait(job, timeout=60)
                 first = client.result_json(job)
         with serve_daemon(workers=0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 assert client.result_json(job) == first
                 assert client.status(job)["state"] == COMPLETED
@@ -391,13 +391,13 @@ class TestDaemonRecovery:
     def test_idempotency_keys_survive_restart(self, tmp_path):
         path = tmp_path / "wal.ndjson"
         with serve_daemon(workers=0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 original = client.submit(**{"name": "faults",
                                             "duration": 0.05},
                                          idempotency_key="restart-safe")
         with serve_daemon(workers=0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 again = client.submit(**{"name": "faults", "duration": 0.05},
                                       idempotency_key="restart-safe")
@@ -412,7 +412,7 @@ class TestDaemonRecovery:
             {"type": "transition", "job": "job-0001", "state": "RUNNING",
              "clock": 0.1, "error": None, "attempt": 9},
         ])
-        with serve_daemon(workers=0, journal_path=str(path), max_retries=2,
+        with serve_daemon(workers=0, journal=str(path), max_retries=2,
                           recover="requeue") as (server, address):
             with ServeClient(address) as client:
                 record = client.status("job-0001")
@@ -426,7 +426,7 @@ class TestDaemonRecovery:
         path = tmp_path / "wal.ndjson"
         _seed_journal(path, [{"type": "reject"}, {"type": "reject"}])
         with serve_daemon(workers=0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             assert server._counters["rejected"] == 2
             assert os.path.exists(str(path) + ".snapshot")
             assert os.path.getsize(str(path)) == 0  # boot compaction ran
@@ -446,7 +446,7 @@ class TestDaemonRecovery:
             {"type": "transition", "job": "job-0002", "state": "RUNNING",
              "clock": 0.2, "error": None, "attempt": 1},
         ])
-        with serve_daemon(workers=0, journal_path=str(path),
+        with serve_daemon(workers=0, journal=str(path),
                           recover="fail") as (server, address):
             assert server._history == ["job-0001", "job-0002"]
             with ServeClient(address) as client:
@@ -459,14 +459,14 @@ class TestDaemonRecovery:
                 assert snapshot["counters"]["interrupted"] == 1
         # The boot compaction persisted the history, so a second
         # restart still serves it.
-        with serve_daemon(workers=0, journal_path=str(path),
+        with serve_daemon(workers=0, journal=str(path),
                           recover="fail") as (server, address):
             assert server._history == ["job-0001", "job-0002"]
 
     def test_recovery_compacts_into_snapshot(self, tmp_path):
         path = tmp_path / "wal.ndjson"
         _seed_journal(path, [_submit_record("job-0001")])
-        with serve_daemon(workers=0, journal_path=str(path)) as (server, _):
+        with serve_daemon(workers=0, journal=str(path)) as (server, _):
             assert os.path.exists(str(path) + ".snapshot")
             assert os.path.getsize(str(path)) == 0  # folded into snapshot
             snapshot, _, _ = JobJournal.load(str(path))
@@ -475,7 +475,7 @@ class TestDaemonRecovery:
     def test_shutdown_writes_final_snapshot(self, tmp_path):
         path = tmp_path / "wal.ndjson"
         with serve_daemon(workers=1,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 job = client.submit(name="faults", duration=0.05)
                 client.wait(job, timeout=60)
@@ -645,7 +645,7 @@ class TestWatchdog:
         path = tmp_path / "wal.ndjson"
         with serve_daemon(workers=1, hang_timeout=0.2, max_retries=2,
                           retry_backoff=5.0,
-                          journal_path=str(path)) as (server, address):
+                          journal=str(path)) as (server, address):
             with ServeClient(address) as client:
                 job = client.submit(name="faults", duration=0.05)
                 record = _wait_for(client, job, QUEUED, attempt=2)
@@ -655,6 +655,41 @@ class TestWatchdog:
                 assert reply["canceled"] is True
                 assert client.status(job)["state"] == CANCELED
                 # Journaled durable, like any queued cancel.
+                _, records, _ = JobJournal.load(str(path))
+                assert records[-1]["state"] == CANCELED
+
+    @pytest.mark.parametrize("max_retries", [2, 0])
+    def test_cancel_of_running_job_that_then_hangs_is_immediate(
+            self, tmp_path, monkeypatch, max_retries):
+        import repro.serve.server as server_mod
+
+        # The wedged process never reads the cancel, so only the hang
+        # kill ends the run; the job must then land CANCELED at once,
+        # not wait out its backoff or fail as hung.
+        monkeypatch.setenv(_CALLS_ENV, str(tmp_path / "calls"))
+        monkeypatch.setattr(server_mod, "run_scenario", _wedge_once)
+        path = tmp_path / "wal.ndjson"
+        with serve_daemon(workers=1, hang_timeout=0.3,
+                          max_retries=max_retries, retry_backoff=2.0,
+                          journal=str(path)) as (server, address):
+            with ServeClient(address) as client:
+                job = client.submit(name="faults", duration=0.05)
+                _wait_for(client, job, RUNNING)
+                canceled_at = time.monotonic()
+                assert client.cancel(job)["cancel_requested"] is True
+                while client.status(job)["state"] == RUNNING \
+                        and time.monotonic() - canceled_at < 1.5:
+                    time.sleep(0.01)
+                record = client.status(job)
+                # Well inside hang_timeout + retry_backoff (2.3 s).
+                assert time.monotonic() - canceled_at < 1.5
+                assert record["state"] == CANCELED
+                assert record["error"] == "canceled while running"
+                assert record["attempt"] == 1
+                counters = client.telemetry()["snapshot"]["counters"]
+                assert counters["requeued"] == 0
+                assert counters["hangs"] == 1
+                # Journaled durable.
                 _, records, _ = JobJournal.load(str(path))
                 assert records[-1]["state"] == CANCELED
 
@@ -671,7 +706,7 @@ class TestWatchdog:
         history_path = tmp_path / "history.json"
         with serve_daemon(workers=1, hang_timeout=0.2, max_retries=2,
                           retry_backoff=5.0,
-                          history_path=str(history_path)) as (server,
+                          history_out=str(history_path)) as (server,
                                                               address):
             with ServeClient(address) as client:
                 job = client.submit(name="faults", duration=0.05)
