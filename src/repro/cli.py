@@ -110,9 +110,12 @@ def _knob_scenario(args, kind: str, name: str = "",
                  for f in dataclasses.fields(PARAM_TYPES[kind])
                  if getattr(args, f.name, f.default) != f.default}
     overrides.update(objects)
-    return make_scenario(name or kind, seed=overrides.pop("seed", 0),
-                         duration=overrides.pop("duration", None),
-                         **overrides)
+    try:
+        return make_scenario(name or kind, seed=overrides.pop("seed", 0),
+                             duration=overrides.pop("duration", None),
+                             **overrides)
+    except ValueError as exc:  # a knob value the dataclass rejects
+        raise argparse.ArgumentError(None, str(exc)) from exc
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -602,10 +605,13 @@ def _run_serve(args) -> int:
 
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
-    config = ServeConfig(address=_serve_address(args),
-                         **{f.name: getattr(args, f.name)
-                            for f in dataclasses.fields(ServeConfig)
-                            if f.metadata["help"] is not None})
+    try:
+        config = ServeConfig(address=_serve_address(args),
+                             **{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(ServeConfig)
+                                if f.metadata["help"] is not None})
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from exc
     server = ServeServer(config)
     print(f"listening on {server.start()}", flush=True)
     return server.serve_forever()
@@ -731,7 +737,17 @@ def _run_profile(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except argparse.ArgumentError as exc:
+        # A knob value its dataclass rejects is a usage error: exit 2
+        # with argparse's one-line message, not a traceback.
+        parser.error(str(exc))
+
+
+def _dispatch(args) -> int:
     if args.command == "profile":
         _run_profile(args)
         return 0

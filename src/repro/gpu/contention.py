@@ -93,12 +93,11 @@ def demand_key(op: KernelOp, priority: int = 0) -> DemandKey:
 
 
 def _similarity(c_a: float, m_a: float, c_b: float, m_b: float) -> float:
-    norm_a = math.hypot(c_a, m_a)
-    norm_b = math.hypot(c_b, m_b)
-    if norm_a == 0 or norm_b == 0:
+    norms = math.hypot(c_a, m_a) * math.hypot(c_b, m_b)
+    if norms == 0:  # a zero demand vector, or one so small it underflows
         return 0.0
     dot = c_a * c_b + m_a * m_b
-    return min(1.0, dot / (norm_a * norm_b))
+    return min(1.0, dot / norms)
 
 
 def profile_similarity(a: KernelOp, b: KernelOp) -> float:
@@ -164,6 +163,64 @@ class ContentionModel:
     def _compute_rates(self, keys: Sequence[DemandKey]) -> List[float]:
         """The model itself: one rate per demand key, in ``keys`` order.
 
+        One and two kernels (nearly every resident set) take closed
+        forms whose float expressions are copies of
+        :meth:`_general_rates`, so their results are bit-identical to
+        it; three or more take the general loop.
+        """
+        params = self.params
+        alpha_c = params.alpha_compute
+        alpha_m = params.alpha_memory
+        if len(keys) == 1:
+            # Solo kernel: no co-runners, so the SM and residency terms
+            # are identically 1.0 and the pair loops vanish.
+            c, m = keys[0][0], keys[0][1]
+            dominant = max(c, m, 1e-12)
+            w_c = c / dominant
+            w_m = m / dominant
+            compute_term = (w_c * c) ** alpha_c
+            memory_term = (w_m * m) ** alpha_m
+            slowdown = max(1.0, compute_term, memory_term)
+            return [1.0 / slowdown]
+        if len(keys) != 2:
+            return self._general_rates(keys)
+        # Pair: the loops over co-runners have one term each.
+        # _similarity is symmetric, so one call serves both sides; a
+        # one-term sum() is ``0 + term`` and the residency product is
+        # ``1.0 * term``, which equals ``term``.
+        gamma = params.gamma_sm
+        beta = params.beta_coresidency
+        num_sms = self.num_sms
+        a, b = keys
+        sm_excess = max(0.0, (0 + a[2] + b[2]) / num_sms - 1.0)
+        w_a = params.priority_weight_base ** a[3]
+        w_b = params.priority_weight_base ** b[3]
+        sim = _similarity(a[0], a[1], b[0], b[1])
+        result: List[float] = []
+        for (c, m, _, _), w_own, (c_o, m_o, s_o, _), w_other in (
+                (a, w_a, b, w_b), (b, w_b, a, w_a)):
+            factor = 2.0 * w_other / (w_own + w_other)
+            demand_c = c + c_o * factor
+            demand_m = m + m_o * factor
+            dominant = max(c, m, 1e-12)
+            w_c = c / dominant
+            w_m = m / dominant
+            compute_term = (w_c * demand_c) ** alpha_c
+            memory_term = (w_m * demand_m) ** alpha_m
+            sm_term = 1.0
+            if sm_excess > 0 and gamma > 0 and s_o > 0:
+                sm_term = 1.0 + gamma * sm_excess * ((0 + sim * s_o) / s_o)
+            residency_term = 1.0
+            if beta > 0:
+                share = min(1.0, s_o / num_sms)
+                residency_term = 1.0 + (beta * sim * share)
+            slowdown = max(1.0, compute_term, memory_term, sm_term, residency_term)
+            result.append(1.0 / slowdown)
+        return result
+
+    def _general_rates(self, keys: Sequence[DemandKey]) -> List[float]:
+        """The model for any number of kernels.
+
         A co-runner ``j`` of priority ``p_j`` contributes its demand
         scaled by ``2 w_j / (w_k + w_j)`` with ``w = base**p``: equal
         priorities contend fully, a higher-priority kernel sees
@@ -173,19 +230,6 @@ class ContentionModel:
         params = self.params
         alpha_c = params.alpha_compute
         alpha_m = params.alpha_memory
-        if len(keys) == 1:
-            # Solo kernel: no co-runners, so the SM and residency terms
-            # are identically 1.0 and the pair loops vanish.  The float
-            # expressions are verbatim copies of the general path so the
-            # result is bit-identical.
-            c, m = keys[0][0], keys[0][1]
-            dominant = max(c, m, 1e-12)
-            w_c = c / dominant
-            w_m = m / dominant
-            compute_term = (w_c * c) ** alpha_c
-            memory_term = (w_m * m) ** alpha_m
-            slowdown = max(1.0, compute_term, memory_term)
-            return [1.0 / slowdown]
         gamma = params.gamma_sm
         beta = params.beta_coresidency
         base = params.priority_weight_base

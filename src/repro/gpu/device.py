@@ -113,6 +113,9 @@ class GpuDevice:
         # (exact int arithmetic; avoids re-summing per admission check).
         self._sm_backlog = 0
         self._completion_event: Optional[ScheduledEvent] = None
+        # Seq reserved by a completion that left survivors whose rates
+        # the next dispatch pass recomputes (see _on_completion).
+        self._reserved_seq: Optional[int] = None
         self._dispatch_scheduled = False
         self._last_rate_update = sim.now
         # Blocking memcpys in flight stall kernel dispatch.
@@ -253,9 +256,9 @@ class GpuDevice:
         # any admission changes it.
         self._checkpoint()
         # A device-wide sync owns the device exclusively.
-        if self._sync_in_progress:
-            return
-        if self._pending_syncs:
+        if self._sync_in_progress or self._pending_syncs:
+            if self._reserved_seq is not None:
+                self._recompute_rates()
             self._try_start_sync()
             return
         # Candidate streams with a ready head, priority first, then FIFO.
@@ -323,6 +326,9 @@ class GpuDevice:
                 self.tracer.op_dispatch(op.client_id, op.seq, stream.name)
             changed = True
         if changed:
+            # The new resident set orders as a fresh calendar entry.
+            self._reserved_seq = None
+        if changed or self._reserved_seq is not None:
             self._recompute_rates()
 
     # ------------------------------------------------------------------
@@ -360,13 +366,16 @@ class GpuDevice:
             return
         self._checkpoint()
         self.slowdown = factor
+        self._reserved_seq = None
         self._recompute_rates()
 
     def _recompute_rates(self) -> None:
         """Set every resident kernel's rate and reschedule the next
-        completion for the new rates."""
+        completion for the new rates, under the reserved seq if a
+        completion left one."""
         running = self.running.values()
         rates = self.contention.rates(running)
+        seq, self._reserved_seq = self._reserved_seq, None
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
@@ -382,9 +391,18 @@ class GpuDevice:
                 soonest = t
         sim = self.sim
         self._completion_event = sim.call_at(
-            sim.now + max(soonest, 1e-9), self._on_completion)
+            sim.now + max(soonest, 1e-9), self._on_completion, seq)
 
     def _on_completion(self) -> None:
+        """Retire the finished kernels and queue the dispatch pass.
+
+        The survivors' rates are not recomputed here: the dispatch pass
+        at this same instant recomputes them once, after admitting any
+        successor.  The completion reserves the seq its eager
+        ``call_at`` would have taken, so when the pass admits nothing
+        the survivors' next completion orders exactly as if scheduled
+        now.
+        """
         self._completion_event = None
         self._checkpoint()
         running = self.running
@@ -410,8 +428,8 @@ class GpuDevice:
                                         op.duration, True)
             to_signal.append(stream_op.done)
         self.kernels_completed += len(finished)
-        # Survivors may speed up now that co-runners left; recompute.
-        self._recompute_rates()
+        if running:
+            self._reserved_seq = self.sim.reserve_seq()
         self._schedule_dispatch()
         for done in to_signal:
             done.trigger(now)

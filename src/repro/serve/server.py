@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -84,6 +85,7 @@ from .protocol import (
     encode,
     error_response,
     ok_response,
+    parse_address,
 )
 
 __all__ = ["ServeConfig", "ServeServer", "scenario_from_spec"]
@@ -171,6 +173,9 @@ class ServeServer:
         self.config = config or ServeConfig()
         self.address: Optional[str] = None
         self._listener = None
+        # (path, st_dev, st_ino) of the Unix socket file this daemon
+        # bound, so shutdown removes it only while it is still ours.
+        self._socket_file: Optional[tuple] = None
         self._queue = PendingQueue(self.config.max_pending)
         self._jobs: Dict[str, Job] = {}
         self._history: List[str] = []
@@ -205,6 +210,10 @@ class ServeServer:
             raise RuntimeError("server already started")
         self._listener, self.address = create_listener(self.config.address)
         self._listener.settimeout(0.2)
+        family, target = parse_address(self.address)
+        if family == "unix":
+            st = os.stat(target)
+            self._socket_file = (target, st.st_dev, st.st_ino)
         self._started_monotonic = time.monotonic()
         self._started_unix = time.time()
         if self.config.journal:
@@ -251,8 +260,9 @@ class ServeServer:
 
     def shutdown(self, mode: str = "drain") -> None:
         """Stop admission, cancel queued jobs, drain (or abort) running
-        jobs, compact + close the journal, persist history, release the
-        socket.  Safe to call from any thread, any number of times."""
+        jobs, compact + close the journal, persist history, close the
+        listener and remove its Unix socket file.  Safe to call from any
+        thread, any number of times."""
         with self._lock:
             already = self._shutting_down
             self._shutting_down = True
@@ -289,6 +299,16 @@ class ServeServer:
         if self._listener is not None:
             try:
                 self._listener.close()
+            except OSError:
+                pass
+        if self._socket_file is not None:
+            # A later daemon may have bound the path since: leave its
+            # socket alone.
+            path, dev, ino = self._socket_file
+            try:
+                st = os.stat(path)
+                if (st.st_dev, st.st_ino) == (dev, ino):
+                    os.unlink(path)
             except OSError:
                 pass
         with self._lock:

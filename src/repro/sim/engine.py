@@ -145,8 +145,19 @@ class Simulator:
         disabled tracer (or None) to detach."""
         self._tracer = tracer if tracer is not None and tracer.enabled else None
 
-    def call_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute simulated ``time``."""
+    def reserve_seq(self) -> int:
+        """Take the sequence number the next scheduled entry would get,
+        for a later ``call_at(..., seq=...)`` that must order as if it
+        had been scheduled now."""
+        return next(self._seq)
+
+    def call_at(self, time: float, callback: Callable[[], None],
+                seq: Optional[int] = None) -> ScheduledEvent:
+        """Schedule ``callback`` at absolute simulated ``time``.
+
+        ``seq``, from :meth:`reserve_seq`, orders the entry as of the
+        reservation instead of now.
+        """
         now = self.now
         if not time >= now:  # also catches NaN, which fails every compare
             if math.isnan(time):
@@ -156,11 +167,14 @@ class Simulator:
                     f"cannot schedule in the past: t={time!r} < now={now!r}"
                 )
             time = now
-        seq = next(self._seq)
-        if time == now:
-            self._ready.append((time, seq, callback))
-        else:
-            heapq.heappush(self._heap, (time, seq, callback))
+        if seq is None:
+            seq = next(self._seq)
+            if time == now:
+                self._ready.append((time, seq, callback))
+                return ScheduledEvent(self, time, seq)
+        # A reserved seq may precede queued ready entries, so it takes
+        # the heap, which the run loop merges by (time, seq).
+        heapq.heappush(self._heap, (time, seq, callback))
         return ScheduledEvent(self, time, seq)
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:

@@ -153,10 +153,21 @@ def test_fleet_cli_rebalance_runs(capsys, tmp_path):
     assert report["records"][0]["transitions"][0][1] == "planned"
 
 
-def test_fleet_cli_rejects_rebalance_without_placement():
-    with pytest.raises(ValueError):
+def test_fleet_cli_rejects_rebalance_without_placement(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["fleet", "--num-gpus", "2", "--duration", "0.02",
               "--crashes", "0", "--degrades", "0", "--rebalance"])
+    assert excinfo.value.code == 2
+    assert "error: rebalance requires" in capsys.readouterr().err
+
+
+def test_experiment_cli_rejects_bad_knob_as_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["inf-train", "--duration", "-1"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: duration must be positive" in err
+    assert "Traceback" not in err
 
 
 def test_optional_knob_flags_take_zero_as_none():
@@ -208,11 +219,13 @@ def test_bad_knobs_fail_at_construction(tmp_path):
         ServeConfig(journal=str(tmp_path / "wal.ndjson"), fsync_batch=0)
 
 
-def test_serve_rejects_bad_knob_before_binding(tmp_path):
+def test_serve_rejects_bad_knob_before_binding(tmp_path, capsys):
     sock = tmp_path / "serve.sock"
-    with pytest.raises(ValueError, match="fsync_batch"):
+    with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--socket", str(sock), "--fsync-batch", "0",
               "--journal", str(tmp_path / "wal.ndjson")])
+    assert excinfo.value.code == 2
+    assert "error: fsync_batch must be positive" in capsys.readouterr().err
     assert not sock.exists()
 
 

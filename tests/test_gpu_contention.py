@@ -187,3 +187,23 @@ def test_memoized_rates_match_unmemoized_bit_for_bit(palette, resident_sets,
             assert [got[k.seq].hex() for k in kernels] == \
                 [rate.hex() for rate in expected]
             assert len(memoized._memo) <= memo_size
+
+
+# ----------------------------------------------------------------------
+# The closed-form pair path: bit-identical to the general loop
+# ----------------------------------------------------------------------
+_util = st.just(0.0) | st.floats(0.0, 1.0)
+_pair_key = st.tuples(_util, _util,
+                      st.just(0) | st.integers(0, 3 * V100_16GB.num_sms),
+                      st.integers(-1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_pair_key, b=_pair_key,
+       gamma=st.just(0.0) | st.floats(0.01, 3.0),
+       beta=st.just(0.0) | st.floats(0.01, 1.0))
+def test_pair_path_matches_general_loop_bit_for_bit(a, b, gamma, beta):
+    m = model(gamma_sm=gamma, beta_coresidency=beta)
+    keys = (a, b)
+    assert [r.hex() for r in m._compute_rates(keys)] == \
+        [r.hex() for r in m._general_rates(keys)]

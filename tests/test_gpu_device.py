@@ -3,6 +3,7 @@ non-preemption, memory semantics, events, telemetry."""
 
 import pytest
 
+from repro.gpu.contention import ContentionModel
 from repro.gpu.cuda_events import CudaEvent
 from repro.gpu.device import GpuDevice
 from repro.gpu.specs import V100_16GB
@@ -340,3 +341,58 @@ def test_tiny_kernels_complete(sim, device):
     p = drive(sim, run())
     assert p.triggered
     assert device.kernels_completed == 50
+
+
+# ----------------------------------------------------------------------
+# One rate recompute per instant
+# ----------------------------------------------------------------------
+def _finish_times(sim, signals):
+    ends = {}
+    for name, done in signals.items():
+        done.add_callback(lambda _s, n=name: ends.setdefault(n, sim.now))
+    return ends
+
+
+def test_completion_with_admitted_successor_computes_rates_once(
+        sim, device, monkeypatch):
+    calls = []
+    rates = ContentionModel.rates
+
+    def spy(model, resident):
+        calls.append(sim.now)
+        return rates(model, resident)
+
+    monkeypatch.setattr(ContentionModel, "rates", spy)
+    a = device.create_stream()
+    b = device.create_stream()
+    ends = _finish_times(sim, {
+        "first": a.submit(make_kernel(compute_spec("first", 1e-4, sms=80))),
+        "second": a.submit(make_kernel(compute_spec("second", 1e-4, sms=80))),
+        "long": b.submit(make_kernel(memory_spec("long", 2e-3)))})
+    sim.run()
+    # "second" is admitted at the instant "first" completes, beside the
+    # surviving "long": one recompute covers both changes.
+    assert ends["first"] < ends["second"] < ends["long"]
+    assert calls.count(ends["first"]) == 1
+
+
+def test_completion_with_survivors_reschedules_them_at_once(sim, device):
+    a = device.create_stream()
+    b = device.create_stream()
+    short = make_kernel(compute_spec("short", 1e-4, sms=80))
+    long = make_kernel(memory_spec("long", 2e-3))
+    short_done = a.submit(short)
+    ends = _finish_times(sim, {"short": short_done, "long": b.submit(long)})
+    # Nothing waits behind "short", so its completion's dispatch pass
+    # admits nothing; a call queued from the completion signal runs
+    # after that pass, at the same instant.
+    scheduled = []
+    short_done.add_callback(lambda _s: sim.call_soon(
+        lambda: scheduled.append(device._completion_event.time)))
+    sim.run()
+    pair = device.contention.rates_by_seq([short, long], {})
+    solo = device.contention.rates_by_seq([long], {})
+    left = long.duration - ends["short"] * pair[long.seq]
+    assert scheduled == [ends["long"]]
+    assert ends["long"] == pytest.approx(
+        ends["short"] + left / solo[long.seq], rel=1e-12)

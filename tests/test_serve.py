@@ -489,6 +489,24 @@ class TestEndToEnd:
                 job = client.submit(**_scenario())
                 assert client.wait(job, timeout=120)["state"] == COMPLETED
 
+    def test_shutdown_removes_its_unix_socket(self, tmp_path):
+        sock = tmp_path / "serve.sock"
+        with serve_daemon(address=f"unix:{sock}", workers=0):
+            assert sock.exists()
+        assert not sock.exists()
+
+    def test_shutdown_leaves_a_rebound_socket_alone(self, tmp_path):
+        # A second daemon bound the path after the first: the first's
+        # shutdown must not remove the second's socket.
+        address = f"unix:{tmp_path / 'serve.sock'}"
+        first = ServeServer(ServeConfig(address=address, workers=0,
+                                        telemetry_interval=0))
+        first.start()
+        with serve_daemon(address=address, workers=0) as (_, resolved):
+            first.shutdown()
+            with ServeClient(resolved) as client:
+                assert client.ping()["ok"]
+
     def test_scenarios_verb_matches_registry_catalog(self):
         with serve_daemon(workers=0) as (_, address):
             with ServeClient(address) as client:

@@ -50,6 +50,20 @@ def test_same_time_events_run_in_schedule_order():
     assert order == ["first", "second", "third"]
 
 
+def test_reserved_seq_orders_as_of_the_reservation():
+    sim = Simulator()
+    order = []
+    later = sim.reserve_seq()
+    now = sim.reserve_seq()
+    sim.call_at(1.0, lambda: order.append("after"))
+    sim.call_soon(lambda: order.append("soon"))
+    sim.call_at(1.0, lambda: order.append("reserved"), seq=later)
+    handle = sim.call_at(0.0, lambda: order.append("reserved-now"), seq=now)
+    assert handle.active
+    sim.run()
+    assert order == ["reserved-now", "soon", "reserved", "after"]
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     seen = []
